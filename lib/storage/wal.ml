@@ -180,8 +180,22 @@ let frames_from t ~lsn =
   match t.durable with
   | None -> []
   | Some d ->
-      Vec.fold_left (fun acc f -> if f.lsn > lsn then (f.lsn, f.repr) :: acc else acc) [] d.frames
-      |> List.rev
+      (* Frames are strictly LSN-ascending (see the interface): binary
+         search for the first one past [lsn], then take the suffix. *)
+      let rec first lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) lsr 1 in
+          if (Vec.get d.frames mid).lsn > lsn then first lo mid else first (mid + 1) hi
+      in
+      let start = first 0 (Vec.length d.frames) in
+      let rec collect i acc =
+        if i < start then acc
+        else
+          let f = Vec.get d.frames i in
+          collect (i - 1) ((f.lsn, f.repr) :: acc)
+      in
+      collect (Vec.length d.frames - 1) []
 
 let receive t ~lsn ~repr =
   with_durable t "receive" (fun d ->

@@ -15,15 +15,22 @@
     conservative way), and {!crash} models power loss by discarding
     every frame past a survival point. A non-durable [t] behaves
     byte-for-byte as before — {!log} is a no-op returning [None] with
-    no side effects, which is what keeps non-crash runs bit-identical. *)
+    no side effects, which is what keeps non-crash runs bit-identical.
+
+    Invariant: the surviving frames are strictly LSN-ascending, and
+    {!next_lsn} exceeds every one of them. {!log}, {!inject_raw} and
+    {!receive} append only at {!next_lsn} and then advance it; {!crash}
+    and {!truncate_to} drop a suffix; {!adopt} copies a device that
+    already holds the invariant; {!corrupt_frame} rewrites bytes in
+    place without touching LSNs. {!frames_from} relies on it to find
+    its suffix by binary search. *)
 
 type t
 
 val create : ?shard:int -> unit -> t
 (** [shard] (default 0) namespaces the log: every frame {!log} writes
     carries the tag, and {!Wal_recovery.analyze} refuses frames tagged
-    for a different shard. Shard 0 encodes without the tag, preserving
-    the pre-sharding frame bytes. *)
+    for a different shard. *)
 
 val shard : t -> int
 val set_shard : t -> int -> unit
@@ -103,7 +110,8 @@ val inject_raw : t -> string -> int
 val frames_from : t -> lsn:int -> (int * string) list
 (** Surviving frames strictly beyond [lsn], in LSN order — the
     primary-side read for shipping a backup everything past its
-    replication cursor. *)
+    replication cursor. Logarithmic in the log length plus linear in
+    the suffix returned. *)
 
 val receive : t -> lsn:int -> repr:string -> [ `Applied | `Duplicate | `Gap ]
 (** Mirror-side append of a shipped frame. Contiguous ([lsn] is exactly

@@ -50,201 +50,255 @@ let kind_name = function
   | Promote _ -> "rep-promote"
   | Rep_ack _ -> "rep-ack"
 
-let payload_fields = function
-  | Txn_begin { tid } -> [ ("tid", Jsonx.Int tid) ]
-  | Txn_commit { tid; cts } -> [ ("tid", Jsonx.Int tid); ("cts", Jsonx.Int cts) ]
-  | Txn_abort { tid; ats } -> [ ("tid", Jsonx.Int tid); ("ats", Jsonx.Int ats) ]
+(* ------------------------------------------------------------------ *)
+(* Encoder. Frame = 4-byte little-endian CRC-32 of the body, then the
+   body: zig-zag varints for lsn, at, shard; a one-byte kind tag; the
+   payload fields in declaration order. Strings and int lists carry a
+   varint length prefix. *)
+
+let crc_bytes = 4
+
+let add_varint b n =
+  (* [n] is a 63-bit pattern read as unsigned: at most 9 groups of 7. *)
+  let n = ref n in
+  while !n land lnot 0x7f <> 0 do
+    Buffer.add_char b (Char.unsafe_chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7
+  done;
+  Buffer.add_char b (Char.unsafe_chr !n)
+
+let add_int b n = add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+let add_string b s =
+  add_varint b (String.length s);
+  Buffer.add_string b s
+
+let add_int_list b xs =
+  add_varint b (List.length xs);
+  List.iter (add_int b) xs
+
+let add_payload b = function
+  | Txn_begin { tid } ->
+      Buffer.add_char b '\000';
+      add_int b tid
+  | Txn_commit { tid; cts } ->
+      Buffer.add_char b '\001';
+      add_int b tid;
+      add_int b cts
+  | Txn_abort { tid; ats } ->
+      Buffer.add_char b '\002';
+      add_int b tid;
+      add_int b ats
   | Version_insert { tid; rid; value } ->
-      [ ("tid", Jsonx.Int tid); ("rid", Jsonx.Int rid); ("value", Jsonx.Int value) ]
+      Buffer.add_char b '\003';
+      add_int b tid;
+      add_int b rid;
+      add_int b value
   | Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi } ->
-      [
-        ("rid", Jsonx.Int rid);
-        ("vs", Jsonx.Int vs);
-        ("ve", Jsonx.Int ve);
-        ("vs_time", Jsonx.Int vs_time);
-        ("ve_time", Jsonx.Int ve_time);
-        ("bytes", Jsonx.Int bytes);
-        ("value", Jsonx.Int value);
-        ("seg", Jsonx.Int seg_id);
-        ("cls", Jsonx.Str cls);
-        ("lo", Jsonx.Int lo);
-        ("hi", Jsonx.Int hi);
-      ]
-  | Seg_harden { seg_id } | Seg_drop { seg_id } | Seg_cut { seg_id } ->
-      [ ("seg", Jsonx.Int seg_id) ]
-  | Ckpt_begin -> []
-  | Ckpt_end { snapshot } -> [ ("snapshot", snapshot) ]
+      Buffer.add_char b '\004';
+      add_int b rid;
+      add_int b vs;
+      add_int b ve;
+      add_int b vs_time;
+      add_int b ve_time;
+      add_int b bytes;
+      add_int b value;
+      add_int b seg_id;
+      add_string b cls;
+      add_int b lo;
+      add_int b hi
+  | Seg_harden { seg_id } ->
+      Buffer.add_char b '\005';
+      add_int b seg_id
+  | Seg_drop { seg_id } ->
+      Buffer.add_char b '\006';
+      add_int b seg_id
+  | Seg_cut { seg_id } ->
+      Buffer.add_char b '\007';
+      add_int b seg_id
+  | Ckpt_begin -> Buffer.add_char b '\008'
+  | Ckpt_end { snapshot } ->
+      Buffer.add_char b '\009';
+      add_string b (Jsonx.to_string snapshot)
   | Prepare { tid; coord; shards } ->
-      [
-        ("tid", Jsonx.Int tid);
-        ("coord", Jsonx.Int coord);
-        ("shards", Jsonx.Arr (List.map (fun s -> Jsonx.Int s) shards));
-      ]
+      Buffer.add_char b '\010';
+      add_int b tid;
+      add_int b coord;
+      add_int_list b shards
   | Coord_commit { gid; cts; shards } ->
-      [
-        ("gid", Jsonx.Int gid);
-        ("cts", Jsonx.Int cts);
-        ("shards", Jsonx.Arr (List.map (fun s -> Jsonx.Int s) shards));
-      ]
-  | Coord_abort { gid } -> [ ("gid", Jsonx.Int gid) ]
-  | Ack { gid; shard } -> [ ("gid", Jsonx.Int gid); ("shard", Jsonx.Int shard) ]
-  | Forget { gid } -> [ ("gid", Jsonx.Int gid) ]
-  | Promote { epoch; node } -> [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node) ]
+      Buffer.add_char b '\011';
+      add_int b gid;
+      add_int b cts;
+      add_int_list b shards
+  | Coord_abort { gid } ->
+      Buffer.add_char b '\012';
+      add_int b gid
+  | Ack { gid; shard } ->
+      Buffer.add_char b '\013';
+      add_int b gid;
+      add_int b shard
+  | Forget { gid } ->
+      Buffer.add_char b '\014';
+      add_int b gid
+  | Promote { epoch; node } ->
+      Buffer.add_char b '\015';
+      add_int b epoch;
+      add_int b node
   | Rep_ack { epoch; node; upto } ->
-      [ ("epoch", Jsonx.Int epoch); ("node", Jsonx.Int node); ("upto", Jsonx.Int upto) ]
+      Buffer.add_char b '\016';
+      add_int b epoch;
+      add_int b node;
+      add_int b upto
 
-let body_json t =
-  (* The shard tag is emitted only when nonzero: shard 0 is the
-     unsharded (single-pipeline) namespace and its frames must stay
-     byte-identical to the pre-sharding format. *)
-  let shard_field = if t.shard = 0 then [] else [ ("sh", Jsonx.Int t.shard) ] in
-  Jsonx.Obj
-    ([ ("lsn", Jsonx.Int t.lsn); ("at", Jsonx.Int t.at) ]
-    @ shard_field
-    @ [ ("kind", Jsonx.Str (kind_name t.payload)) ]
-    @ payload_fields t.payload)
+let frame ~crc_mask t =
+  let b = Buffer.create 48 in
+  Buffer.add_string b "\000\000\000\000";
+  add_int b t.lsn;
+  add_int b t.at;
+  add_int b t.shard;
+  add_payload b t.payload;
+  let f = Buffer.to_bytes b in
+  let crc =
+    Crc32.sub (Bytes.unsafe_to_string f) ~pos:crc_bytes ~len:(Bytes.length f - crc_bytes)
+  in
+  Bytes.set_int32_le f 0 (Int32.of_int (crc lxor crc_mask));
+  Bytes.unsafe_to_string f
 
-let frame_of_body body ~crc =
-  match body with
-  | Jsonx.Obj fields -> Jsonx.Obj (fields @ [ ("crc", Jsonx.Int crc) ])
-  | _ -> invalid_arg "Wal_record.frame_of_body: not an object"
+let encode t = frame ~crc_mask:0 t
 
-let encode t =
-  let body = body_json t in
-  let crc = Crc32.string (Jsonx.to_string body) in
-  Jsonx.to_string (frame_of_body body ~crc)
+(* A deliberately stale checksum: the body parses but fails
+   verification — the shape of a torn sector whose payload bytes were
+   written and whose checksum was not. *)
+let encode_with_bad_crc t = frame ~crc_mask:0x5a5a5a5a t
 
-let encode_with_bad_crc t =
-  (* A deliberately stale checksum: the frame parses as JSON but fails
-     verification — the shape of a torn sector whose payload bytes were
-     written and whose trailing checksum was not. *)
-  let body = body_json t in
-  let crc = Crc32.string (Jsonx.to_string body) lxor 0x5a5a5a5a in
-  Jsonx.to_string (frame_of_body body ~crc)
+(* ------------------------------------------------------------------ *)
+(* Decoder. Total: every malformation — truncation, trailing bytes, an
+   unknown tag, a length past the end — surfaces as [Error]. *)
 
-let int_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing int field %S" name)
+exception Malformed of string
 
-let str_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing string field %S" name)
+type reader = { s : string; mutable pos : int }
 
-let ( let* ) = Result.bind
+let byte r =
+  if r.pos >= String.length r.s then raise (Malformed "truncated frame");
+  let c = Char.code (String.unsafe_get r.s r.pos) in
+  r.pos <- r.pos + 1;
+  c
 
-let int_list_field name obj =
-  match Option.bind (Jsonx.member name obj) Jsonx.to_arr with
-  | None -> Error (Printf.sprintf "missing array field %S" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match Jsonx.to_int x with
-            | Some n -> go (n :: acc) rest
-            | None -> Error (Printf.sprintf "non-int element in array field %S" name))
-      in
-      go [] items
+let varint r =
+  let rec go acc shift =
+    let c = byte r in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then acc
+    else if shift >= 56 then raise (Malformed "varint overflow")
+    else go acc (shift + 7)
+  in
+  go 0 0
 
-let payload_of_json kind obj =
-  match kind with
-  | "txn-begin" ->
-      let* tid = int_field "tid" obj in
-      Ok (Txn_begin { tid })
-  | "txn-commit" ->
-      let* tid = int_field "tid" obj in
-      let* cts = int_field "cts" obj in
-      Ok (Txn_commit { tid; cts })
-  | "txn-abort" ->
-      let* tid = int_field "tid" obj in
-      let* ats = int_field "ats" obj in
-      Ok (Txn_abort { tid; ats })
-  | "version-insert" ->
-      let* tid = int_field "tid" obj in
-      let* rid = int_field "rid" obj in
-      let* value = int_field "value" obj in
-      Ok (Version_insert { tid; rid; value })
-  | "relocate" ->
-      let* rid = int_field "rid" obj in
-      let* vs = int_field "vs" obj in
-      let* ve = int_field "ve" obj in
-      let* vs_time = int_field "vs_time" obj in
-      let* ve_time = int_field "ve_time" obj in
-      let* bytes = int_field "bytes" obj in
-      let* value = int_field "value" obj in
-      let* seg_id = int_field "seg" obj in
-      let* cls = str_field "cls" obj in
-      let* lo = int_field "lo" obj in
-      let* hi = int_field "hi" obj in
-      Ok (Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi })
-  | "seg-harden" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_harden { seg_id })
-  | "seg-drop" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_drop { seg_id })
-  | "seg-cut" ->
-      let* seg_id = int_field "seg" obj in
-      Ok (Seg_cut { seg_id })
-  | "ckpt-begin" -> Ok Ckpt_begin
-  | "ckpt-end" -> (
-      match Jsonx.member "snapshot" obj with
-      | Some snapshot -> Ok (Ckpt_end { snapshot })
-      | None -> Error "missing field \"snapshot\"")
-  | "2pc-prepare" ->
-      let* tid = int_field "tid" obj in
-      let* coord = int_field "coord" obj in
-      let* shards = int_list_field "shards" obj in
-      Ok (Prepare { tid; coord; shards })
-  | "2pc-commit" ->
-      let* gid = int_field "gid" obj in
-      let* cts = int_field "cts" obj in
-      let* shards = int_list_field "shards" obj in
-      Ok (Coord_commit { gid; cts; shards })
-  | "2pc-abort" ->
-      let* gid = int_field "gid" obj in
-      Ok (Coord_abort { gid })
-  | "2pc-ack" ->
-      let* gid = int_field "gid" obj in
-      let* shard = int_field "shard" obj in
-      Ok (Ack { gid; shard })
-  | "2pc-forget" ->
-      let* gid = int_field "gid" obj in
-      Ok (Forget { gid })
-  | "rep-promote" ->
-      let* epoch = int_field "epoch" obj in
-      let* node = int_field "node" obj in
-      Ok (Promote { epoch; node })
-  | "rep-ack" ->
-      let* epoch = int_field "epoch" obj in
-      let* node = int_field "node" obj in
-      let* upto = int_field "upto" obj in
-      Ok (Rep_ack { epoch; node; upto })
-  | k -> Error (Printf.sprintf "unknown record kind %S" k)
+let int r =
+  let z = varint r in
+  (z lsr 1) lxor (-(z land 1))
+
+let length r =
+  let n = varint r in
+  if n < 0 || n > String.length r.s - r.pos then raise (Malformed "length past end of frame");
+  n
+
+let string r =
+  let n = length r in
+  let s = String.sub r.s r.pos n in
+  r.pos <- r.pos + n;
+  s
+
+let int_list r =
+  let rec go acc k = if k = 0 then List.rev acc else go (int r :: acc) (k - 1) in
+  go [] (length r)
+
+let payload r =
+  match byte r with
+  | 0 ->
+      let tid = int r in
+      Txn_begin { tid }
+  | 1 ->
+      let tid = int r in
+      let cts = int r in
+      Txn_commit { tid; cts }
+  | 2 ->
+      let tid = int r in
+      let ats = int r in
+      Txn_abort { tid; ats }
+  | 3 ->
+      let tid = int r in
+      let rid = int r in
+      let value = int r in
+      Version_insert { tid; rid; value }
+  | 4 ->
+      let rid = int r in
+      let vs = int r in
+      let ve = int r in
+      let vs_time = int r in
+      let ve_time = int r in
+      let bytes = int r in
+      let value = int r in
+      let seg_id = int r in
+      let cls = string r in
+      let lo = int r in
+      let hi = int r in
+      Relocate { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi }
+  | 5 -> Seg_harden { seg_id = int r }
+  | 6 -> Seg_drop { seg_id = int r }
+  | 7 -> Seg_cut { seg_id = int r }
+  | 8 -> Ckpt_begin
+  | 9 -> (
+      match Jsonx.of_string (string r) with
+      | Ok snapshot -> Ckpt_end { snapshot }
+      | Error e -> raise (Malformed ("bad snapshot: " ^ e)))
+  | 10 ->
+      let tid = int r in
+      let coord = int r in
+      let shards = int_list r in
+      Prepare { tid; coord; shards }
+  | 11 ->
+      let gid = int r in
+      let cts = int r in
+      let shards = int_list r in
+      Coord_commit { gid; cts; shards }
+  | 12 -> Coord_abort { gid = int r }
+  | 13 ->
+      let gid = int r in
+      let shard = int r in
+      Ack { gid; shard }
+  | 14 -> Forget { gid = int r }
+  | 15 ->
+      let epoch = int r in
+      let node = int r in
+      Promote { epoch; node }
+  | 16 ->
+      let epoch = int r in
+      let node = int r in
+      let upto = int r in
+      Rep_ack { epoch; node; upto }
+  | tag -> raise (Malformed (Printf.sprintf "unknown record tag %d" tag))
 
 let decode ?(check_crc = true) repr =
-  let* json =
-    match Jsonx.of_string repr with Ok j -> Ok j | Error e -> Error ("bad frame: " ^ e)
-  in
-  let* fields =
-    match json with Jsonx.Obj fields -> Ok fields | _ -> Error "frame is not an object"
-  in
-  let* () =
-    if not check_crc then Ok ()
+  let n = String.length repr in
+  if n < crc_bytes then Error "truncated frame"
+  else
+    let stored = Int32.to_int (String.get_int32_le repr 0) land 0xffffffff in
+    let computed =
+      if check_crc then Crc32.sub repr ~pos:crc_bytes ~len:(n - crc_bytes) else stored
+    in
+    if stored <> computed then
+      Error (Printf.sprintf "crc mismatch (stored %d, computed %d)" stored computed)
     else
-      let* stored = int_field "crc" json in
-      (* Recompute over the frame minus its crc member, in parsed member
-         order — the encoder appends crc last, so a round-tripped frame
-         reproduces the exact checksummed bytes. *)
-      let body = Jsonx.Obj (List.filter (fun (k, _) -> k <> "crc") fields) in
-      let computed = Crc32.string (Jsonx.to_string body) in
-      if stored = computed then Ok ()
-      else Error (Printf.sprintf "crc mismatch (stored %d, computed %d)" stored computed)
-  in
-  let* lsn = int_field "lsn" json in
-  let* at = int_field "at" json in
-  let shard = match Option.bind (Jsonx.member "sh" json) Jsonx.to_int with Some s -> s | None -> 0 in
-  let* kind = str_field "kind" json in
-  let* payload = payload_of_json kind json in
-  Ok { lsn; at; shard; payload }
+      let r = { s = repr; pos = crc_bytes } in
+      match
+        let lsn = int r in
+        let at = int r in
+        let shard = int r in
+        let payload = payload r in
+        { lsn; at; shard; payload }
+      with
+      | t when r.pos = n -> Ok t
+      | _ -> Error "trailing bytes after frame"
+      | exception Malformed e -> Error e

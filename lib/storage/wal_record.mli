@@ -3,10 +3,18 @@
     The durable log is a sequence of framed records: transaction
     lifecycle events, in-row version inserts, SIRO relocations into
     off-row segments, segment state transitions (harden / second-prune
-    drop / vCutter cut) and checkpoint brackets. Each frame is one line
-    of canonical {!Jsonx} — deterministic and diffable — carrying its
-    LSN, the simulated timestamp, and a CRC-32 over the frame body so
-    recovery can detect torn or corrupted tails.
+    drop / vCutter cut) and checkpoint brackets. Each frame is a compact
+    binary record carrying its LSN, the simulated timestamp, and a
+    CRC-32 over the frame body so recovery can detect torn or corrupted
+    tails.
+
+    Byte layout: a 4-byte little-endian CRC-32 computed over exactly the
+    bytes that follow it (the body). The body is zig-zag varints for
+    [lsn], [at] and [shard], a one-byte kind tag, then the payload's
+    fields in declaration order — ints as zig-zag varints, strings and
+    int lists as a varint length followed by the bytes or the elements.
+    A [Ckpt_end] snapshot travels as its canonical {!Jsonx} text in one
+    length-prefixed string, read back only by {!Checkpoint.of_json}.
 
     [Relocate] frames carry the displaced version's {e precomputed}
     commit interval [(lo, hi)] (Definition 3.3's [I(v)]): replay must
@@ -72,20 +80,21 @@ type t = { lsn : int; at : int; shard : int; payload : payload }
 (** [shard] namespaces the frame: each shard's pipeline logs into its
     own WAL with its own LSN space, and recovery refuses frames whose
     tag does not match the log being analyzed (cross-shard frame
-    interleaving is corruption, not data). Shard 0 — the unsharded
-    namespace — is encoded without the tag, byte-identical to the
-    pre-sharding format. *)
+    interleaving is corruption, not data). *)
 
 val kind_name : payload -> string
 
 val encode : t -> string
-(** One-line JSON frame ending in a [crc] member computed over the rest
-    of the frame. *)
+(** The binary frame: CRC-32 of the body, then the body. *)
 
 val encode_with_bad_crc : t -> string
 (** Same frame with a deliberately wrong checksum — the chaos harness
     uses it to fabricate torn tails that honest recovery must refuse. *)
 
 val decode : ?check_crc:bool -> string -> (t, string) result
-(** Parse and verify one frame. [~check_crc:false] skips checksum
-    verification — the sabotage knob recovery must {e not} use. *)
+(** Verify, then parse, one frame. Total: a checksum mismatch,
+    truncation, trailing bytes, an unknown kind tag or a length running
+    past the frame is an [Error], never an exception.
+    [~check_crc:false] skips the checksum and parses whatever body is
+    there — the sabotage knob recovery must {e not} use; it still
+    rejects frames whose body does not parse. *)

@@ -56,20 +56,14 @@ let test_record_crc_rejects_flip () =
     { Wal_record.lsn = 3; at = Clock.ms 2; shard = 0; payload = Wal_record.Version_insert { tid = 5; rid = 1; value = 42 } }
   in
   let frame = Wal_record.encode r in
-  (* Swap one digit of the value — still valid JSON, but the body no
-     longer matches the checksum. *)
-  let needle = "\"value\":42" in
-  let idx =
-    let rec find i =
-      if i + String.length needle > String.length frame then
-        Alcotest.fail "value member not found in frame"
-      else if String.sub frame i (String.length needle) = needle then i
-      else find (i + 1)
-    in
-    find 0
-  in
+  (* [value] is the last field of a [Version_insert] frame, and 42
+     zig-zags to the single varint byte 84: flipping bit 1 of the last
+     byte makes it 86, i.e. 43 — still a well-formed body, but no longer
+     the one the checksum covers. *)
+  let idx = String.length frame - 1 in
+  check_int "value byte holds zig-zag 42" 84 (Char.code frame.[idx]);
   let corrupt =
-    String.mapi (fun i c -> if i = idx + String.length needle - 1 then '3' else c) frame
+    String.mapi (fun i c -> if i = idx then Char.chr (Char.code c lxor 0x02) else c) frame
   in
   (match Wal_record.decode corrupt with
   | Ok _ -> Alcotest.fail "corrupt frame must be rejected"
@@ -90,6 +84,100 @@ let test_record_bad_crc_encoder () =
   match Wal_record.decode ~check_crc:false frame with
   | Ok r' -> check_bool "payload intact under sabotage" true (r'.Wal_record.payload = r.Wal_record.payload)
   | Error e -> Alcotest.failf "check_crc:false must accept: %s" e
+
+(* Random records of every kind, with field values spanning the whole
+   int range so every varint width (and negative zig-zag) is hit. *)
+let record_gen =
+  let open QCheck.Gen in
+  let i = oneof [ small_signed_int; int; oneofl [ 0; -1; max_int; min_int ] ] in
+  let str = string_size ~gen:printable (int_bound 12) in
+  let ints = list_size (int_bound 6) i in
+  let snapshot =
+    map3
+      (fun n xs tag ->
+        Jsonx.Obj
+          [
+            ("oracle_next", Jsonx.Int n);
+            ("live", Jsonx.Arr (List.map (fun x -> Jsonx.Int x) xs));
+            ("tag", Jsonx.Str tag);
+          ])
+      i ints str
+  in
+  let payload =
+    oneof
+      [
+        map (fun tid -> Wal_record.Txn_begin { tid }) i;
+        map2 (fun tid cts -> Wal_record.Txn_commit { tid; cts }) i i;
+        map2 (fun tid ats -> Wal_record.Txn_abort { tid; ats }) i i;
+        map3 (fun tid rid value -> Wal_record.Version_insert { tid; rid; value }) i i i;
+        map3
+          (fun (rid, vs, ve, vs_time) (ve_time, bytes, value, seg_id) (cls, lo, hi) ->
+            Wal_record.Relocate
+              { rid; vs; ve; vs_time; ve_time; bytes; value; seg_id; cls; lo; hi })
+          (quad i i i i) (quad i i i i) (triple str i i);
+        map (fun seg_id -> Wal_record.Seg_harden { seg_id }) i;
+        map (fun seg_id -> Wal_record.Seg_drop { seg_id }) i;
+        map (fun seg_id -> Wal_record.Seg_cut { seg_id }) i;
+        return Wal_record.Ckpt_begin;
+        map (fun snapshot -> Wal_record.Ckpt_end { snapshot }) snapshot;
+        map3 (fun tid coord shards -> Wal_record.Prepare { tid; coord; shards }) i i ints;
+        map3 (fun gid cts shards -> Wal_record.Coord_commit { gid; cts; shards }) i i ints;
+        map (fun gid -> Wal_record.Coord_abort { gid }) i;
+        map2 (fun gid shard -> Wal_record.Ack { gid; shard }) i i;
+        map (fun gid -> Wal_record.Forget { gid }) i;
+        map2 (fun epoch node -> Wal_record.Promote { epoch; node }) i i;
+        map3 (fun epoch node upto -> Wal_record.Rep_ack { epoch; node; upto }) i i i;
+      ]
+  in
+  map3 (fun (lsn, at) shard payload -> { Wal_record.lsn; at; shard; payload }) (pair i i) i payload
+
+let record_arb =
+  QCheck.make record_gen ~print:(fun r ->
+      Printf.sprintf "%s lsn=%d: %S" (Wal_record.kind_name r.Wal_record.payload) r.Wal_record.lsn
+        (Wal_record.encode r))
+
+let rejected ?check_crc frame = Result.is_error (Wal_record.decode ?check_crc frame)
+
+let qcheck_codec =
+  QCheck.Test.make ~name:"codec: roundtrip, flips, prefixes, trailing, bad crc" ~count:300
+    record_arb
+    (fun r ->
+      let frame = Wal_record.encode r in
+      let n = String.length frame in
+      let flip i bit =
+        String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl bit)) else c) frame
+      in
+      let every_flip_rejected =
+        List.for_all
+          (fun i -> List.for_all (fun bit -> rejected (flip i bit)) [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+          (List.init n Fun.id)
+      in
+      let every_prefix_rejected =
+        List.for_all
+          (fun k ->
+            let torn = String.sub frame 0 k in
+            rejected torn && rejected ~check_crc:false torn)
+          (List.init n Fun.id)
+      in
+      let bad = Wal_record.encode_with_bad_crc r in
+      Wal_record.decode frame = Ok r
+      && every_flip_rejected && every_prefix_rejected
+      && rejected ~check_crc:false (frame ^ "\000")
+      && rejected bad
+      && Wal_record.decode ~check_crc:false bad = Ok r)
+
+(* Arbitrary bytes, or a valid frame's head followed by junk: either
+   way decode answers with a result, under both checksum modes. *)
+let qcheck_decode_total =
+  QCheck.Test.make ~name:"codec: decode never raises" ~count:1000
+    QCheck.(triple record_arb (int_bound 64) string)
+    (fun (r, k, junk) ->
+      let frame = Wal_record.encode r in
+      let input = String.sub frame 0 (min k (String.length frame)) ^ junk in
+      let total check_crc =
+        match Wal_record.decode ~check_crc input with Ok _ | Error _ -> true | exception _ -> false
+      in
+      total true && total false)
 
 (* -------------------------------------------------------------------- *)
 (* Durable-mode log semantics *)
@@ -134,6 +222,63 @@ let test_fsync_failpoint_conservative () =
       check_int "failure counted" 1 (Wal.fsync_failures w);
       check_bool "next fsync passes" true (Wal.fsync w ());
       check_int "frontier catches up" (Wal.max_lsn w) (Wal.flushed_lsn w))
+
+(* [Wal.frames_from] binary-searches on the ascending-LSN invariant;
+   it must agree with the plain linear filter on every log the mutators
+   can build. Two devices so [adopt] has a real source. *)
+type wal_op =
+  | Log
+  | Crash of int
+  | Truncate of int
+  | Inject
+  | Receive of int
+  | Adopt
+
+let wal_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, return Log);
+      (1, map (fun k -> Crash k) (int_bound 40));
+      (1, map (fun k -> Truncate k) (int_bound 40));
+      (1, return Inject);
+      (3, map (fun d -> Receive d) (int_range (-1) 1));
+      (1, return Adopt);
+    ]
+
+let qcheck_frames_from =
+  QCheck.Test.make ~name:"frames_from = linear filter under every mutator" ~count:300
+    QCheck.(
+      make
+        ~print:
+          (Print.list (function
+            | Log -> "log"
+            | Crash k -> Printf.sprintf "crash %d" k
+            | Truncate k -> Printf.sprintf "truncate %d" k
+            | Inject -> "inject"
+            | Receive d -> Printf.sprintf "receive %+d" d
+            | Adopt -> "adopt"))
+        Gen.(list_size (int_bound 60) wal_op_gen))
+    (fun ops ->
+      let devs = Array.init 2 (fun _ -> let w = Wal.create () in Wal.enable_durability w; w) in
+      List.iteri
+        (fun i op ->
+          let w = devs.(i mod 2) and other = devs.((i + 1) mod 2) in
+          match op with
+          | Log -> ignore (Wal.log w (Wal_record.Txn_begin { tid = i }))
+          | Crash k -> Wal.crash w ~keep_lsn:k
+          | Truncate k -> Wal.truncate_to w ~lsn:k
+          | Inject -> ignore (Wal.inject_raw w "torn")
+          | Receive d -> ignore (Wal.receive w ~lsn:(Wal.next_lsn w + d) ~repr:"shipped")
+          | Adopt -> Wal.adopt w ~src:other)
+        ops;
+      Array.for_all
+        (fun w ->
+          let all = Wal.frames w in
+          List.for_all
+            (fun k -> Wal.frames_from w ~lsn:k = List.filter (fun (lsn, _) -> lsn > k) all)
+            (List.init (Wal.next_lsn w + 3) (fun k -> k - 1)))
+        devs)
 
 (* -------------------------------------------------------------------- *)
 (* Engine-level fixtures *)
@@ -376,12 +521,15 @@ let suites =
         Alcotest.test_case "roundtrip every payload" `Quick test_record_roundtrip;
         Alcotest.test_case "crc rejects a bit flip" `Quick test_record_crc_rejects_flip;
         Alcotest.test_case "bad-crc encoder" `Quick test_record_bad_crc_encoder;
+        QCheck_alcotest.to_alcotest qcheck_codec;
+        QCheck_alcotest.to_alcotest qcheck_decode_total;
       ] );
     ( "recovery.wal",
       [
         Alcotest.test_case "non-durable log is a no-op" `Quick test_non_durable_log_is_noop;
         Alcotest.test_case "lsns, frontier, power loss" `Quick test_durable_lsns_and_crash;
         Alcotest.test_case "fsync failpoint conservative" `Quick test_fsync_failpoint_conservative;
+        QCheck_alcotest.to_alcotest qcheck_frames_from;
       ] );
     ( "recovery.restart",
       [

@@ -359,6 +359,23 @@ let qcheck_histogram_percentile_monotone =
       List.iter (Histogram.add h) values;
       Histogram.percentile h 0.3 <= Histogram.percentile h 0.9)
 
+let test_crc32_check_value () =
+  (* The standard CRC-32/ISO-HDLC check value. *)
+  Alcotest.(check int) "crc32 check value" 0xCBF43926 (Crc32.string "123456789")
+
+let test_crc32_sub () =
+  let s = "frame-header|123456789|trailer" in
+  for pos = 0 to String.length s do
+    for len = 0 to String.length s - pos do
+      Alcotest.(check int)
+        (Printf.sprintf "sub %d %d" pos len)
+        (Crc32.string (String.sub s pos len))
+        (Crc32.sub s ~pos ~len)
+    done
+  done;
+  Alcotest.check_raises "range past end" (Invalid_argument "Crc32.sub") (fun () ->
+      ignore (Crc32.sub s ~pos:1 ~len:(String.length s)))
+
 let qcheck_vec_roundtrip =
   QCheck.Test.make ~name:"vec of_list/to_list roundtrip" ~count:200
     QCheck.(list int)
@@ -424,5 +441,10 @@ let suites =
         Alcotest.test_case "bounds checks" `Quick test_vec_bounds;
         Alcotest.test_case "fold/exists" `Quick test_vec_fold_exists;
         QCheck_alcotest.to_alcotest qcheck_vec_roundtrip;
+      ] );
+    ( "util.crc32",
+      [
+        Alcotest.test_case "check value" `Quick test_crc32_check_value;
+        Alcotest.test_case "substring in place" `Quick test_crc32_sub;
       ] );
   ]
