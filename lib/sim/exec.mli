@@ -1,32 +1,32 @@
-(** Execution substrate capability: spawn / yield / now / fence.
+(** Execution substrate: spawn / serialize / run / now / fence.
 
-    The discrete-event [Scheduler] totally orders every process step on
-    one thread. [Exec] is the abstraction that lets the same task shape
-    — a step function plus a virtual wake-up time — run on {e real}
-    OCaml 5 domains instead, while keeping the virtual clocks of all
-    tasks coupled within a bounded skew window (a conservative
-    time-window parallel simulation).
+    Processes (transaction workers, long-lived transaction drivers,
+    background cleaners, metric samplers, fault injectors) are tasks: a
+    step function plus a virtual wake-up time. A step is called when its
+    wake-up time is reached, does one unit of work and reports when the
+    task next wants to run. Two substrates run the same task set:
 
-    Two substrates implement the capability:
-
-    - {!inline} steps every task on the calling thread, always picking
-      the globally earliest wake-up (ties by spawn order). This is the
-      deterministic twin of the domain substrate: identical task code,
-      totally ordered, reproducible — used by the unit tests of the
-      substrate itself.
+    - {!inline} is the discrete-event simulator (Sim mode). It steps
+      every task on the calling thread, always picking the globally
+      earliest wake-up from a binary min-heap, ties broken by spawn
+      order, so whole runs are deterministic. Only this substrate has
+      the stop-the-world hooks: a dispatch probe ({!set_probe}) called
+      before every step, a [scheduler.dispatches] counter and a
+      [Trace.Scheduler] span per dispatch.
     - {!domains} maps tasks round-robin onto [n] real [Domain.t]s. Each
       domain steps its own tasks in local wake-up order, but a task may
       only be stepped while its wake-up time is within [window] of the
       global frontier (the minimum published clock over all live
-      tasks). Clocks are published through [Atomic] cells — the
-      publish/consume points of the memory-ordering argument in
-      DESIGN §4f — and a domain that runs ahead of the window yields,
-      then naps, until the frontier catches up.
+      tasks): a conservative time-window parallel simulation. Clocks
+      are published through [Atomic] cells — the publish/consume points
+      of the memory-ordering argument in DESIGN §4f — and a domain that
+      runs ahead of the window yields, then naps, until the frontier
+      catches up.
 
-    Progress: the task holding the global minimum clock is always
-    eligible, so some domain can always step; a task whose step raises
-    is retired (its clock leaves the frontier) and the exception is
-    re-raised from {!run} after every domain has joined, so a crashed
+    Progress on domains: the task holding the global minimum clock is
+    always eligible, so some domain can always step; a task whose step
+    raises is retired (its clock leaves the frontier) and the exception
+    is re-raised from {!run} after every domain has joined, so a crashed
     task can never wedge the window for the others. *)
 
 type t
@@ -35,9 +35,14 @@ type outcome =
   | Sleep_until of Clock.time  (** run me again no earlier than this *)
   | Finished  (** retire this task *)
 
-val inline : ?window:Clock.time -> unit -> t
-(** Deterministic single-thread substrate (the window is accepted for
-    interface symmetry; a total order trivially respects any window). *)
+type mode =
+  | Sim  (** the deterministic discrete-event substrate, {!inline} *)
+  | Domains of { domains : int }  (** {!domains} with the default window *)
+
+val create : mode -> t
+
+val inline : unit -> t
+(** The deterministic single-thread substrate. *)
 
 val domains : ?window:Clock.time -> domains:int -> unit -> t
 (** Real-parallelism substrate on [domains] OCaml 5 domains (at least
@@ -53,41 +58,55 @@ val domains : ?window:Clock.time -> domains:int -> unit -> t
     every runnable task proceed concurrently. *)
 
 val spawn : t -> name:string -> at:Clock.time -> (Clock.time -> outcome) -> unit
-(** Register a task. As in {!Scheduler.spawn}, the step receives its
-    wake-up time and a [Sleep_until t'] with [t' <= now] advances the
-    clock by 1 ns to guarantee progress. All spawns must precede
-    {!run}; spawning after the run has started raises. *)
+(** Register a task whose step receives its wake-up time. A
+    [Sleep_until t'] with [t' <= now] advances the clock by 1 ns to
+    guarantee progress. All spawns must precede {!run}; spawning after
+    the run has started raises. *)
+
+val serialized : t -> (Clock.time -> outcome) -> Clock.time -> outcome
+(** [serialized t step] runs each call of [step] as one critical section
+    of [t]'s big lock: a real [Mutex] on the domain substrate, the step
+    itself (no wrapper) inline, where a total order already serializes
+    every step. Wrap a step once, at spawn. *)
+
+val set_probe : t -> (name:string -> now:Clock.time -> unit) -> unit
+(** Install the dispatch probe: called immediately before every step
+    with the task name and its wake-up time. This is the fault
+    harness's consultation point — a fault plan armed here sees every
+    scheduling decision and can inject per-step faults
+    deterministically. The probe must not spawn. Inline only
+    ([Invalid_argument] on domains). *)
 
 val run : t -> until:Clock.time -> Clock.time
 (** Execute every task until it finishes or its next wake-up exceeds
-    [until]. On the domain substrate this spawns the domains, drives
+    [until]. Returns the largest wake-up time dispatched. Can only be
+    called once per [t].
+
+    Inline, a step that raises aborts the run at once with that
+    exception. On the domain substrate this spawns the domains, drives
     the window protocol and joins them all before returning (so every
-    task-local effect is visible to the caller afterwards). Returns the
-    largest wake-up time dispatched. If any task raised, the first such
-    exception (by task spawn order) is re-raised after the join. Can
-    only be called once per [t]. *)
+    task-local effect is visible to the caller afterwards); if any task
+    raised, the first such exception (by task spawn order) is re-raised
+    after the join. *)
+
+val now : t -> Clock.time
+(** The largest wake-up time dispatched so far: inline, the current
+    simulated time. *)
 
 val frontier : t -> Clock.time
 (** The global frontier: minimum published clock over unfinished tasks
-    ([until] passed to {!run} once every task has retired). This is the
-    substrate's [now] capability — monotone, safe to read from any
-    domain. *)
-
-val yield : t -> unit
-(** Politely give the core away: [Domain.cpu_relax] on the domain
-    substrate, a no-op inline. *)
+    ([until] passed to {!run} once every task has retired). Monotone,
+    safe to read from any domain. *)
 
 val fence : unit -> unit
 (** Full memory fence (a sequentially-consistent atomic round-trip).
     The publish points of the Domains runner run their updates through
     this before they are considered observable. *)
 
-val mode_name : t -> string
-val domain_count : t -> int
-
 val max_skew_observed : t -> Clock.time
-(** Largest [wake-up - frontier] skew any dispatched step ran at; the
-    window-respect tests assert it never exceeds [window]. *)
+(** Largest [wake-up - frontier] skew any dispatched step ran at on the
+    domain substrate; the window-respect tests assert it never exceeds
+    [window]. *)
 
 val steps : t -> int
 (** Total task steps dispatched (across all domains). *)

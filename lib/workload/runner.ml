@@ -27,18 +27,101 @@ type result = {
   reclamation_lag_us : Histogram.t;  (* per-segment reclaim lag, 50 us buckets *)
 }
 
-let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
- Failpoint.with_scope @@ fun () ->
+type mode = Exec.mode = Sim | Domains of { domains : int }
+
+(* Workload tallies. Inline, every task adds straight into the run's
+   aggregate. On domains each task owns one and merges it into the
+   aggregate exactly once, at its publish point: a fence, then the
+   merge inside the task's critical section. That is the publication
+   edge the [skip_publish_fence] sabotage knob severs. *)
+type tally = {
+  mutable t_commits : int;
+  mutable t_conflicts : int;
+  mutable t_llt_reads : int;
+  mutable t_retries : int;
+  mutable t_give_ups : int;
+  mutable t_latency : Histogram.t;  (* committed-transaction latency, 10 us buckets *)
+  mutable t_buckets : int array;  (* commits per whole second, grown on demand *)
+}
+
+let tally_create () =
+  {
+    t_commits = 0;
+    t_conflicts = 0;
+    t_llt_reads = 0;
+    t_retries = 0;
+    t_give_ups = 0;
+    t_latency = Histogram.create ~bucket_width:10 ();
+    t_buckets = [||];
+  }
+
+let add_bucket s idx n =
+  let len = Array.length s.t_buckets in
+  if idx >= len then begin
+    let b = Array.make (max (idx + 1) (2 * len)) 0 in
+    Array.blit s.t_buckets 0 b 0 len;
+    s.t_buckets <- b
+  end;
+  s.t_buckets.(idx) <- s.t_buckets.(idx) + n
+
+let tally_merge agg s =
+  agg.t_commits <- agg.t_commits + s.t_commits;
+  agg.t_conflicts <- agg.t_conflicts + s.t_conflicts;
+  agg.t_llt_reads <- agg.t_llt_reads + s.t_llt_reads;
+  agg.t_retries <- agg.t_retries + s.t_retries;
+  agg.t_give_ups <- agg.t_give_ups + s.t_give_ups;
+  agg.t_latency <- Histogram.merge agg.t_latency s.t_latency;
+  Array.iteri (fun i c -> if c > 0 then add_bucket agg i c) s.t_buckets
+
+(* (second, commits/s) for every second up to the last one that saw a
+   commit. *)
+let per_second s =
+  let last = ref (-1) in
+  Array.iteri (fun i c -> if c > 0 then last := i) s.t_buckets;
+  List.init (!last + 1) (fun i -> (float_of_int i, float_of_int s.t_buckets.(i)))
+
+(* One campaign body for both substrates (DESIGN §4f). Every task step
+   is one critical section of the substrate's big lock — a real mutex on
+   domains, nothing inline — so the engine, the driver state, the fault
+   report, the shed table and every task's transaction slot see a
+   linearizable call sequence while tasks on different domains still
+   interleave step by step. Cross-task kills therefore act on the
+   victim's state directly: the killer holds the lock, so the owner is
+   never mid-step. What stays substrate-specific is explicit below:
+   crash, watchdog and zombie wiring (stop-the-world constructs of the
+   discrete-event substrate) and the dispatch probe are inline-only;
+   domains polls the fault plan from a [faults] task instead, publishes
+   per-task tallies, and runs past the horizon until every task has
+   reached its publish point. *)
+let run ~engine ?faults ?watchdog ?(mode = Sim) ?(skip_publish_fence = false)
+    (cfg : Exp_config.t) =
+  let inline = mode = Sim in
+  (match mode with
+  | Sim -> ()
+  | Domains { domains } ->
+      if domains < 1 then invalid_arg "Runner.run: need at least one domain";
+      if watchdog <> None then
+        invalid_arg
+          "Runner.run: the watchdog ladder is Sim-only (its stall injections and \
+           stop-the-world restart rung assume the discrete-event scheduler)");
+  Failpoint.with_scope @@ fun () ->
   let eng = engine cfg.Exp_config.schema in
-  let sched = Scheduler.create () in
+  let exec = Exec.create mode in
+  let spawn ~name ~at step = Exec.spawn exec ~name ~at (Exec.serialized exec step) in
   let master_rng = Rng.create cfg.Exp_config.seed in
   let horizon = Clock.seconds cfg.Exp_config.duration_s in
-  let commit_rate = Series.Rate.create ~bucket:1.0 "commits" in
-  let latency_us = Histogram.create ~bucket_width:10 () in
-  let conflicts = ref 0 in
-  let llt_reads = ref 0 in
-  let retries = ref 0 in
-  let give_ups = ref 0 in
+  let agg = tally_create () in
+  let task_tally () = if inline then agg else tally_create () in
+  let publish s =
+    if s != agg && not skip_publish_fence then begin
+      Exec.fence ();
+      tally_merge agg s
+    end
+  in
+  let finish s =
+    publish s;
+    Exec.Finished
+  in
   let report = Fault_report.create () in
   (* Every process that can hold an open transaction registers a kill
      switch here (in spawn order, so victim selection is deterministic).
@@ -58,7 +141,8 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (* Tid-targeted kill switches for the governor's snapshot-too-old
      policy: entries live exactly while the transaction is in flight, so
      the shed hook rolls the victim back through the engine (undoing its
-     writes) rather than behind its back. *)
+     writes) rather than behind its back. The hook runs inside
+     maintenance, i.e. inside the gc task's critical section. *)
   let shed_tbl : (Timestamp.t, Clock.time -> bool) Hashtbl.t = Hashtbl.create 64 in
   (match eng.Engine.driver with
   | Some d ->
@@ -68,9 +152,9 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
             match Hashtbl.find_opt shed_tbl tid with Some kill -> kill now | None -> false)
   | None -> ());
   (* Liveness containment, armed only when a watchdog configuration is
-     passed. The default run allocates no watchdog, grants no lease,
-     spawns no extra process and reads no extra randomness, so it stays
-     bit-identical to the seed. *)
+     passed (never on domains). The default run allocates no watchdog,
+     grants no lease, spawns no extra process and reads no extra
+     randomness, so it stays bit-identical to the seed. *)
   let wd = Option.map (fun wcfg -> Watchdog.create ~config:wcfg ()) watchdog in
   let liveness_armed = wd <> None in
   let lease =
@@ -136,9 +220,11 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (* OLTP workers: each short transaction takes two scheduling steps —
      begin first, then the operation body — so that transactions from
      different workers genuinely overlap in simulated time (write-write
-     conflicts depend on that overlap). *)
+     conflicts depend on that overlap). Worker [i] draws from the same
+     RNG stream on both substrates. *)
   let spawn_worker i =
     let rng = Rng.split master_rng in
+    let s = task_tally () in
     let pending = ref None in
     let killed = ref false in
     let backoff = make_backoff (0x42e7 lxor (i * 0x9e3779b9)) in
@@ -171,30 +257,30 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       pending := Some txn;
       Hashtbl.replace shed_tbl txn.Txn.tid kill;
       lease_grant ~tid:txn.Txn.tid ~kind:Lease.Short ~now;
-      Scheduler.Sleep_until t
+      Exec.Sleep_until t
     in
-    Scheduler.spawn sched ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
+    spawn ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
         match !pending with
         | None ->
             if !killed then begin
               killed := false;
               match Backoff.next backoff with
               | Some delay ->
-                  incr retries;
+                  s.t_retries <- s.t_retries + 1;
                   Metrics.bump "runner.retries";
                   if Trace.on () then
                     Trace.instant Trace.Txn "retry" ~at:now [ ("delay_ns", Trace.I delay) ];
-                  Scheduler.Sleep_until (now + delay)
+                  Exec.Sleep_until (now + delay)
               | None ->
                   (* Attempt budget exhausted: give the intent up and
                      move on to fresh work. *)
-                  incr give_ups;
+                  s.t_give_ups <- s.t_give_ups + 1;
                   Metrics.bump "runner.give_ups";
                   if Trace.on () then Trace.instant Trace.Txn "give-up" ~at:now [];
                   Backoff.reset backoff;
-                  if now >= horizon then Scheduler.Finished else begin_txn now
+                  if now >= horizon then finish s else begin_txn now
             end
-            else if now >= horizon then Scheduler.Finished
+            else if now >= horizon then finish s
             else begin_txn now
         | Some txn ->
             pending := None;
@@ -221,21 +307,22 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                done;
                t := eng.Engine.commit txn ~now:!t;
                Backoff.reset backoff;
-               Series.Rate.incr commit_rate ~time:(Clock.to_seconds !t);
-               Histogram.add latency_us ((!t - txn.Txn.begin_time) / 1_000);
+               add_bucket s (int_of_float (Clock.to_seconds !t)) 1;
+               s.t_commits <- s.t_commits + 1;
+               Histogram.add s.t_latency ((!t - txn.Txn.begin_time) / 1_000);
                if Trace.on () then
                  Trace.span Trace.Txn "txn" ~start:txn.Txn.begin_time
                    ~dur:(!t - txn.Txn.begin_time)
                    [ ("tid", Trace.I txn.Txn.tid); ("worker", Trace.I i) ]
              with Exit ->
-               incr conflicts;
+               s.t_conflicts <- s.t_conflicts + 1;
                Metrics.bump "runner.conflicts";
                t := eng.Engine.abort txn ~now:!t;
                if Trace.on () then
                  Trace.span Trace.Txn "txn-conflict" ~start:txn.Txn.begin_time
                    ~dur:(!t - txn.Txn.begin_time)
                    [ ("tid", Trace.I txn.Txn.tid); ("worker", Trace.I i) ]);
-            Scheduler.Sleep_until !t)
+            Exec.Sleep_until !t)
   in
   for i = 0 to cfg.Exp_config.workers - 1 do
     spawn_worker i
@@ -247,6 +334,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       for li = 0 to count - 1 do
         let rng = Rng.split master_rng in
         let uniform = Access.create cfg.Exp_config.schema Access.Uniform in
+        let s = task_tally () in
         let state = ref None in
         let killed = ref false in
         let zombie = ref false in
@@ -289,13 +377,13 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                   true
               | _ -> false);
         let llt_end = Clock.seconds (start_s +. duration_s) in
-        Scheduler.spawn sched
+        spawn
           ~name:(Printf.sprintf "llt-%d-%d" gi li)
           ~at:(Clock.seconds start_s)
           (fun now ->
             match !state with
             | None ->
-                if now >= llt_end || now >= horizon then Scheduler.Finished
+                if now >= llt_end || now >= horizon then finish s
                 else if !killed then begin
                   (* Shed (snapshot-too-old) or fault-aborted: restart
                      the scan after a backoff, with a fresh read view,
@@ -303,24 +391,24 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                   killed := false;
                   match Backoff.next backoff with
                   | Some delay ->
-                      incr retries;
+                      s.t_retries <- s.t_retries + 1;
                       Metrics.bump "runner.retries";
                       if Trace.on () then
                         Trace.instant Trace.Txn "llt-retry" ~at:now
                           [ ("delay_ns", Trace.I delay) ];
-                      Scheduler.Sleep_until (now + delay)
+                      Exec.Sleep_until (now + delay)
                   | None ->
-                      incr give_ups;
+                      s.t_give_ups <- s.t_give_ups + 1;
                       Metrics.bump "runner.give_ups";
                       if Trace.on () then Trace.instant Trace.Txn "llt-give-up" ~at:now [];
-                      Scheduler.Finished
+                      finish s
                 end
                 else begin
                   let txn, t = eng.Engine.begin_txn ~now in
                   state := Some txn;
                   Hashtbl.replace shed_tbl txn.Txn.tid kill;
                   lease_grant ~tid:txn.Txn.tid ~kind:Lease.Llt ~now;
-                  Scheduler.Sleep_until t
+                  Exec.Sleep_until t
                 end
             | Some txn ->
                 if !zombie then
@@ -328,8 +416,8 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                      issues another operation or the commit. Only the
                      watchdog's shed rung (through the kill switch) or
                      the end of the run gets it off the live table. *)
-                  if now >= horizon then Scheduler.Finished
-                  else Scheduler.Sleep_until (now + Clock.ms 1)
+                  if now >= horizon then finish s
+                  else Exec.Sleep_until (now + Clock.ms 1)
                 else if now >= llt_end || now >= horizon then begin
                   state := None;
                   Hashtbl.remove shed_tbl txn.Txn.tid;
@@ -339,28 +427,28 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                     Trace.span Trace.Txn "llt" ~start:txn.Txn.begin_time
                       ~dur:(now - txn.Txn.begin_time)
                       [ ("tid", Trace.I txn.Txn.tid); ("group", Trace.I gi) ];
-                  Scheduler.Finished
+                  finish s
                 end
                 else begin
                   let rid = Access.sample uniform rng in
                   let _, t = eng.Engine.read txn ~rid ~now in
-                  incr llt_reads;
+                  s.t_llt_reads <- s.t_llt_reads + 1;
                   lease_progress ~tid:txn.Txn.tid ~now:t;
-                  Scheduler.Sleep_until t
+                  Exec.Sleep_until t
                 end)
       done)
     cfg.Exp_config.llts;
   (* Background GC (vacuum / purge / vCutter). Under an enabled
      governor the cadence follows the ladder: Pressured and above
      shorten the period so maintenance outpaces the pressure. *)
-  Scheduler.spawn sched ~name:"gc" ~at:cfg.Exp_config.gc_period (fun now ->
-      if now >= horizon then Scheduler.Finished
+  spawn ~name:"gc" ~at:cfg.Exp_config.gc_period (fun now ->
+      if now >= horizon then Exec.Finished
       else if now < !cleaner_stall_until then
         (* Stalled (hung) cleaner: keep the wakeup cadence — so a
            watchdog restart takes effect at the next tick — but do no
            maintenance and post no beat. The missing beat is exactly
            what the watchdog detects. *)
-        Scheduler.Sleep_until (now + cfg.Exp_config.gc_period)
+        Exec.Sleep_until (now + cfg.Exp_config.gc_period)
       else begin
         (match wd with Some w -> Watchdog.beat w "cleaner" ~now | None -> ());
         let t = eng.Engine.maintenance ~now in
@@ -372,7 +460,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
                 (int_of_float (float_of_int cfg.Exp_config.gc_period *. scale))
           | None -> cfg.Exp_config.gc_period
         in
-        Scheduler.Sleep_until (max t (now + period))
+        Exec.Sleep_until (max t (now + period))
       end);
   (* Fuzzy checkpointer: exists only for durable engines, so non-durable
      runs keep the exact process set (and scheduler order) of the
@@ -380,34 +468,49 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (match eng.Engine.checkpoint with
   | Some ckpt when cfg.Exp_config.ckpt_period_s > 0. ->
       let period = max 1 (Clock.seconds cfg.Exp_config.ckpt_period_s) in
-      Scheduler.spawn sched ~name:"checkpointer" ~at:period (fun now ->
+      spawn ~name:"checkpointer" ~at:period (fun now ->
           ckpt ~now;
           (match wd with Some w -> Watchdog.beat w "checkpointer" ~now | None -> ());
-          if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
+          if now >= horizon then Exec.Finished else Exec.Sleep_until (now + period))
   | _ -> ());
-  (* Metrics sampler. *)
+  (* Metrics sampler (sole owner of the series; read after the run). *)
   let space_series = Series.create "space" in
   let redo_series = Series.create "redo" in
   let chain_series = Series.create "chain" in
   let split_series = Series.create "splits" in
   let sample_period = Clock.seconds cfg.Exp_config.sample_period_s in
-  let last_sample = ref { Engine.version_bytes = 0; redo_bytes = 0; max_chain = 0; splits = 0; truncations = 0; latch_wait = 0; wal_errors = 0 } in
-  Scheduler.spawn sched ~name:"sampler" ~at:sample_period (fun now ->
+  spawn ~name:"sampler" ~at:sample_period (fun now ->
       let s = eng.Engine.sample () in
-      last_sample := s;
       let sec = Clock.to_seconds now in
       Series.add space_series ~time:sec ~value:(float_of_int s.Engine.version_bytes);
       Series.add redo_series ~time:sec ~value:(float_of_int s.Engine.redo_bytes);
       Series.add chain_series ~time:sec ~value:(float_of_int s.Engine.max_chain);
       Series.add split_series ~time:sec ~value:(float_of_int s.Engine.splits);
-      if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + sample_period));
+      if now >= horizon then Exec.Finished else Exec.Sleep_until (now + sample_period));
   (* Fault harness: a continuous prune-soundness audit on the driver, a
-     dispatch probe that consults the plan before every scheduled step,
-     and a periodic invariant sweep over the whole driver state. *)
+     periodic invariant sweep over the whole driver state, and the plan
+     consulted before every scheduled step (inline: the dispatch probe)
+     or on a fixed tick (domains: the [faults] task). *)
   let record_all ~at vs =
     List.iter
       (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
       vs
+  in
+  (* The bounded-reclamation-lag monitor. Inline runs arm it through the
+     watchdog. Domains has no watchdog, so a fault run arms it directly
+     and the invariant sweep checks it: the chaos soak still asserts the
+     lag guarantee online. *)
+  let lag_mon =
+    match (eng.Engine.driver, wd, faults) with
+    | Some d, Some w, _ ->
+        let bound = Watchdog.lag_bound (Watchdog.config w) ~gc_period:cfg.Exp_config.gc_period in
+        Some (Invariant.lag_monitor d ~bound)
+    | Some d, None, Some _ when not inline ->
+        let bound =
+          Watchdog.lag_bound Watchdog.default_config ~gc_period:cfg.Exp_config.gc_period
+        in
+        Some (Invariant.lag_monitor d ~bound)
+    | _ -> None
   in
   (match faults with
   | None -> ()
@@ -417,10 +520,19 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
           Invariant.install_prune_audit d ~on_violation:(fun ~now viol ->
               record_all ~at:now [ viol ]);
           let period = Fault_plan.check_period plan in
-          Scheduler.spawn sched ~name:"invariants" ~at:period (fun now ->
-              Fault_report.note_check report;
-              record_all ~at:now (Invariant.check_all d);
-              if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period))
+          (* Domains runs past the horizon; a sweep dispatched there
+             would clock segment deaths later than the [finish_lag]
+             settle time and make the final lags negative. *)
+          spawn ~name:"invariants" ~at:period (fun now ->
+              if now > horizon then Exec.Finished
+              else begin
+                Fault_report.note_check report;
+                record_all ~at:now (Invariant.check_all d);
+                (match (wd, lag_mon) with
+                | None, Some m -> record_all ~at:now (Invariant.check_lag m ~now)
+                | _ -> ());
+                if now >= horizon then Exec.Finished else Exec.Sleep_until (now + period)
+              end)
       | None -> ());
       (* Victim selection draws from the plan's seed, never from
          [master_rng]: a plan that injects nothing must leave the
@@ -487,142 +599,163 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
             ]
       in
       let apply action ~now =
-        Fault_report.note_fault report (Fault_plan.action_name action);
-        if Trace.on () then
-          Trace.instant Trace.Fault (Fault_plan.action_name action) ~at:now [];
         match action with
-        | Fault_plan.Abort_txn ->
-            let n = Vec.length abort_slots in
-            if n > 0 then begin
-              let start = Rng.int victim_rng n in
-              let rec try_slot i =
-                if i < n then
-                  if (Vec.get abort_slots ((start + i) mod n)) now then () else try_slot (i + 1)
-              in
-              try_slot 0
-            end
-        | Fault_plan.Crash -> (
-            match (engine_wal (), eng.Engine.restart) with
-            | Some wal, Some restart ->
-                (* Durable engine: a Poisson crash is a power loss at
-                   the durability frontier — unfsynced frames are
-                   gone — followed by restart replay. *)
-                do_crash_restart wal restart ~keep:(Wal.flushed_lsn wal) ~now
-            | _ ->
-                (* §3.5: every in-flight transaction is a loser. Roll
-                   them back through the engine's abort path, then run
-                   crash recovery and immediately assert the Figure 10b
-                   post-conditions. *)
-                Vec.iter (fun slot -> ignore (slot now)) abort_slots;
-                ignore (eng.Engine.crash ());
-                (match eng.Engine.driver with
-                | Some d -> record_all ~at:now (Invariant.check_post_crash d)
-                | None -> ()))
-        | Fault_plan.Wal_bitflip -> (
-            match engine_wal () with
-            | Some wal when Wal.max_lsn wal > Wal.bootstrap_lsn ->
-                let lo = Wal.bootstrap_lsn + 1 in
-                let lsn = lo + Rng.int victim_rng (Wal.max_lsn wal - lo + 1) in
-                let flipped =
-                  Wal.corrupt_frame wal ~lsn (fun s ->
-                      if String.length s = 0 then s
-                      else begin
-                        let b = Bytes.of_string s in
-                        let i = Rng.int victim_rng (Bytes.length b) in
-                        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-                        Bytes.to_string b
-                      end)
-                in
-                if flipped && Trace.on () then
-                  Trace.instant Trace.Fault "wal-bitflip" ~at:now [ ("lsn", Trace.I lsn) ]
-            | _ -> ())
-        | Fault_plan.Wal_error ->
-            Failpoint.arm_fail_n "wal.append" 16;
-            (* the simulated log device rejects syncs along with
-               appends; harmless (never consulted) for engines that
-               do not fsync *)
-            Failpoint.arm_fail_n "wal.fsync" 4
-        | Fault_plan.Flush_fail -> Failpoint.arm_fail_n "vsorter.flush" 4
-        | Fault_plan.Evict_storm -> (
-            match eng.Engine.driver with
-            | Some d -> Buffer_pool.clear d.State.store_cache
-            | None -> ())
-        | Fault_plan.Space_storm ->
-            (* A burst writer: displace a volley of versions in one
-               instant, squeezing the version-space quota. Drawn from
-               the victim stream so a plan without storms stays
-               bit-identical. *)
-            let records = Schema.records cfg.Exp_config.schema in
-            let txn, _ = eng.Engine.begin_txn ~now in
-            let conflicted = ref false in
-            (try
-               for _ = 1 to 48 do
-                 let rid = Rng.int victim_rng records in
-                 match
-                   eng.Engine.write txn ~rid ~payload:(Rng.int victim_rng 1_000_000) ~now
-                 with
-                 | Engine.Committed_path _ -> ()
-                 | Engine.Conflict _ -> raise Exit
-               done
-             with Exit -> conflicted := true);
-            if !conflicted then ignore (eng.Engine.abort txn ~now)
-            else ignore (eng.Engine.commit txn ~now)
-        | Fault_plan.Cleaner_stall ->
-            (* The cleaning loop hangs outright for a drawn duration —
-               long enough that a run without the watchdog provably
-               exceeds the reclamation-lag bound. Liveness injections
-               only bite in armed runs (the gate is constant for the
-               whole run, so determinism per mode is unaffected). *)
-            if liveness_armed then begin
-              let dur = Clock.ms (150 + Rng.int victim_rng 451) in
-              cleaner_stall_until := max !cleaner_stall_until (now + dur)
-            end
-        | Fault_plan.Collab_delay ->
-            (* The cutter dawdles between footprint install and its
-               completion mark. In the discrete-event engines the
-               episode is uncontended, so the observable effect is a
-               brief maintenance hiccup; the genuine spin-window stretch
-               is exercised by the multi-domain collaboration tests. *)
-            if liveness_armed then begin
-              let dur = Clock.ms (2 + Rng.int victim_rng 19) in
-              cleaner_stall_until := max !cleaner_stall_until (now + dur)
-            end
-        | Fault_plan.Llt_zombie ->
-            let n = Vec.length zombie_slots in
-            if n > 0 then begin
-              let start = Rng.int victim_rng n in
-              let rec try_slot i =
-                if i < n then
-                  if (Vec.get zombie_slots ((start + i) mod n)) now then ()
-                  else try_slot (i + 1)
-              in
-              try_slot 0
-            end
-        | Fault_plan.Node_kill | Fault_plan.Node_revive ->
-            (* Whole-node faults target the replicated shard deployment;
-               the single-instance runner has no nodes to kill. *)
-            ()
+        | Fault_plan.Crash when not inline ->
+            (* Crashes are stop-the-world: on domains the arrival is
+               recorded and otherwise ignored. Differential campaigns
+               run both modes under [Fault_plan.random ~crashes:false]
+               variants so neither side ever draws one. *)
+            Fault_report.note_fault report "crash-skipped"
+        | action -> (
+            Fault_report.note_fault report (Fault_plan.action_name action);
+            if Trace.on () then
+              Trace.instant Trace.Fault (Fault_plan.action_name action) ~at:now [];
+            match action with
+            | Fault_plan.Abort_txn ->
+                let n = Vec.length abort_slots in
+                if n > 0 then begin
+                  let start = Rng.int victim_rng n in
+                  let rec try_slot i =
+                    if i < n then
+                      if (Vec.get abort_slots ((start + i) mod n)) now then ()
+                      else try_slot (i + 1)
+                  in
+                  try_slot 0
+                end
+            | Fault_plan.Crash -> (
+                match (engine_wal (), eng.Engine.restart) with
+                | Some wal, Some restart ->
+                    (* Durable engine: a Poisson crash is a power loss at
+                       the durability frontier — unfsynced frames are
+                       gone — followed by restart replay. *)
+                    do_crash_restart wal restart ~keep:(Wal.flushed_lsn wal) ~now
+                | _ ->
+                    (* §3.5: every in-flight transaction is a loser. Roll
+                       them back through the engine's abort path, then run
+                       crash recovery and immediately assert the Figure 10b
+                       post-conditions. *)
+                    Vec.iter (fun slot -> ignore (slot now)) abort_slots;
+                    ignore (eng.Engine.crash ());
+                    (match eng.Engine.driver with
+                    | Some d -> record_all ~at:now (Invariant.check_post_crash d)
+                    | None -> ()))
+            | Fault_plan.Wal_bitflip -> (
+                match engine_wal () with
+                | Some wal when Wal.max_lsn wal > Wal.bootstrap_lsn ->
+                    let lo = Wal.bootstrap_lsn + 1 in
+                    let lsn = lo + Rng.int victim_rng (Wal.max_lsn wal - lo + 1) in
+                    let flipped =
+                      Wal.corrupt_frame wal ~lsn (fun s ->
+                          if String.length s = 0 then s
+                          else begin
+                            let b = Bytes.of_string s in
+                            let i = Rng.int victim_rng (Bytes.length b) in
+                            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+                            Bytes.to_string b
+                          end)
+                    in
+                    if flipped && Trace.on () then
+                      Trace.instant Trace.Fault "wal-bitflip" ~at:now [ ("lsn", Trace.I lsn) ]
+                | _ -> ())
+            | Fault_plan.Wal_error ->
+                Failpoint.arm_fail_n "wal.append" 16;
+                (* the simulated log device rejects syncs along with
+                   appends; harmless (never consulted) for engines that
+                   do not fsync *)
+                Failpoint.arm_fail_n "wal.fsync" 4
+            | Fault_plan.Flush_fail -> Failpoint.arm_fail_n "vsorter.flush" 4
+            | Fault_plan.Evict_storm -> (
+                match eng.Engine.driver with
+                | Some d -> Buffer_pool.clear d.State.store_cache
+                | None -> ())
+            | Fault_plan.Space_storm ->
+                (* A burst writer: displace a volley of versions in one
+                   instant, squeezing the version-space quota. Drawn from
+                   the victim stream so a plan without storms stays
+                   bit-identical. *)
+                let records = Schema.records cfg.Exp_config.schema in
+                let txn, _ = eng.Engine.begin_txn ~now in
+                let conflicted = ref false in
+                (try
+                   for _ = 1 to 48 do
+                     let rid = Rng.int victim_rng records in
+                     match
+                       eng.Engine.write txn ~rid ~payload:(Rng.int victim_rng 1_000_000) ~now
+                     with
+                     | Engine.Committed_path _ -> ()
+                     | Engine.Conflict _ -> raise Exit
+                   done
+                 with Exit -> conflicted := true);
+                if !conflicted then ignore (eng.Engine.abort txn ~now)
+                else ignore (eng.Engine.commit txn ~now)
+            | Fault_plan.Cleaner_stall ->
+                (* The cleaning loop hangs outright for a drawn duration —
+                   long enough that a run without the watchdog provably
+                   exceeds the reclamation-lag bound. Liveness injections
+                   only bite in armed runs (the gate is constant for the
+                   whole run, so determinism per mode is unaffected). *)
+                if liveness_armed then begin
+                  let dur = Clock.ms (150 + Rng.int victim_rng 451) in
+                  cleaner_stall_until := max !cleaner_stall_until (now + dur)
+                end
+            | Fault_plan.Collab_delay ->
+                (* The cutter dawdles between footprint install and its
+                   completion mark. In the discrete-event engines the
+                   episode is uncontended, so the observable effect is a
+                   brief maintenance hiccup; the genuine spin-window
+                   stretch is exercised by the multi-domain collaboration
+                   tests. *)
+                if liveness_armed then begin
+                  let dur = Clock.ms (2 + Rng.int victim_rng 19) in
+                  cleaner_stall_until := max !cleaner_stall_until (now + dur)
+                end
+            | Fault_plan.Llt_zombie ->
+                let n = Vec.length zombie_slots in
+                if n > 0 then begin
+                  let start = Rng.int victim_rng n in
+                  let rec try_slot i =
+                    if i < n then
+                      if (Vec.get zombie_slots ((start + i) mod n)) now then ()
+                      else try_slot (i + 1)
+                  in
+                  try_slot 0
+                end
+            | Fault_plan.Node_kill | Fault_plan.Node_revive ->
+                (* Whole-node faults target the replicated shard
+                   deployment; the single-instance runner has no nodes
+                   to kill. *)
+                ())
       in
-      (* Crash-point schedule: power loss the first time the log's
-         highest LSN reaches each point, checked at every dispatch
-         boundary — deterministic in WAL position, independent of
-         simulated time. *)
-      let crash_points = ref (Fault_plan.crash_points plan) in
-      Scheduler.set_probe sched (fun ~name:_ ~now ->
-          (match !crash_points with
-          | p :: rest -> (
-              match (engine_wal (), eng.Engine.restart) with
-              | Some wal, Some restart when Wal.max_lsn wal >= p ->
-                  crash_points := rest;
-                  do_crash_restart wal restart ~keep:(min p (Wal.max_lsn wal)) ~now
-              | _ -> ())
-          | [] -> ());
-          List.iter (fun action -> apply action ~now) (Fault_plan.poll plan ~now)));
+      if inline then begin
+        (* Crash-point schedule: power loss the first time the log's
+           highest LSN reaches each point, checked at every dispatch
+           boundary — deterministic in WAL position, independent of
+           simulated time. *)
+        let crash_points = ref (Fault_plan.crash_points plan) in
+        Exec.set_probe exec (fun ~name:_ ~now ->
+            (match !crash_points with
+            | p :: rest -> (
+                match (engine_wal (), eng.Engine.restart) with
+                | Some wal, Some restart when Wal.max_lsn wal >= p ->
+                    crash_points := rest;
+                    do_crash_restart wal restart ~keep:(min p (Wal.max_lsn wal)) ~now
+                | _ -> ())
+            | [] -> ());
+            List.iter (fun action -> apply action ~now) (Fault_plan.poll plan ~now))
+      end
+      else begin
+        let tick = Clock.us 250 in
+        spawn ~name:"faults" ~at:tick (fun now ->
+            if now >= horizon then Exec.Finished
+            else begin
+              List.iter (fun a -> apply a ~now) (Fault_plan.poll plan ~now);
+              Exec.Sleep_until (now + tick)
+            end)
+      end);
   (* Liveness watchdog: heartbeat sources over the cleaning pipeline,
      the escalation ladder polled on the simulated clock, and the
      bounded-reclamation-lag monitor. Spawned after the fault plumbing
      so the probe is already armed when the first poll fires. *)
-  let lag_mon = ref None in
   (match wd with
   | None -> ()
   | Some w ->
@@ -632,11 +765,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
           Watchdog.register w "vsorter" ~now:0;
           Watchdog.register w "vcutter" ~now:0;
           Watchdog.register w "governor" ~now:0;
-          d.State.watchdog <- Some w;
-          let bound =
-            Watchdog.lag_bound (Watchdog.config w) ~gc_period:cfg.Exp_config.gc_period
-          in
-          lag_mon := Some (Invariant.lag_monitor d ~bound)
+          d.State.watchdog <- Some w
       | None -> ());
       if eng.Engine.checkpoint <> None && cfg.Exp_config.ckpt_period_s > 0. then
         Watchdog.register ~watch:false w "checkpointer" ~now:0;
@@ -686,8 +815,8 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
         }
       in
       let period = (Watchdog.config w).Watchdog.check_period in
-      Scheduler.spawn sched ~name:"watchdog" ~at:period (fun now ->
-          (match !lag_mon with
+      spawn ~name:"watchdog" ~at:period (fun now ->
+          (match lag_mon with
           | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
           | None -> ());
           (match lease with
@@ -697,23 +826,30 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
           | Some d -> record_all ~at:now (Invariant.check_watchdog d)
           | None -> ());
           Watchdog.poll w ~now ~actions;
-          if now >= horizon then Scheduler.Finished else Scheduler.Sleep_until (now + period)));
+          if now >= horizon then Exec.Finished else Exec.Sleep_until (now + period)));
   (* Under an unsound rule (e.g. a sabotaged zone test) the engine can
      fail outright — a snapshot read landing on a pruned version. During
      a fault run that is itself a verdict, not a harness crash: record
      it and let the campaign report it. Without a fault plan the
-     exception propagates as before. *)
+     exception propagates as before.
+
+     Inline runs stop at the horizon. Domains runs until every task has
+     retired itself: each self-terminates once its local clock passes
+     [horizon], and only a [Finished] step runs the task's publish
+     point — retiring tasks at the horizon from the outside would
+     silently drop their tallies. *)
+  let until = if inline then horizon else horizon + Clock.seconds 3600. in
   let engine_failed =
     try
-      ignore (Scheduler.run sched ~until:horizon);
+      ignore (Exec.run exec ~until);
       false
     with exn when faults <> None ->
-      Fault_report.record report ~at:(Scheduler.now sched) ~invariant:"engine-failure"
+      Fault_report.record report ~at:(Exec.now exec) ~invariant:"engine-failure"
         ~detail:(Printexc.to_string exn);
       true
   in
   if not engine_failed then eng.Engine.finish ~now:horizon;
-  (match !lag_mon with Some m -> Invariant.finish_lag m ~now:horizon | None -> ());
+  (match lag_mon with Some m -> Invariant.finish_lag m ~now:horizon | None -> ());
   (match eng.Engine.driver with
   | Some d ->
       Invariant.remove_prune_audit d;
@@ -729,8 +865,8 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (* Robustness counters, surfaced both in the result record and in the
      report so chaos campaigns print them. *)
   Fault_report.set_gauge report "wal-errors" final.Engine.wal_errors;
-  Fault_report.set_gauge report "retries" !retries;
-  Fault_report.set_gauge report "give-ups" !give_ups;
+  Fault_report.set_gauge report "retries" agg.t_retries;
+  Fault_report.set_gauge report "give-ups" agg.t_give_ups;
   Fault_report.set_gauge report "sheds" sheds;
   (* GC backend identity and its counters, hooked runs only — the
      default gauge surface stays untouched. *)
@@ -755,12 +891,14 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
          (fun acc (i : Engine.restart_info) -> acc + i.Engine.losers_rolled_back)
          0 !recoveries)
   end;
-  let max_reclamation_lag = match !lag_mon with Some m -> Invariant.max_lag m | None -> 0 in
+  let max_reclamation_lag = match lag_mon with Some m -> Invariant.max_lag m | None -> 0 in
   (* Liveness gauges, armed runs only — the default (and golden) metric
      surface is untouched. *)
   (match wd with
-  | None -> ()
-  | Some w ->
+  | None ->
+      if lag_mon <> None then
+        Fault_report.set_gauge report "max-reclamation-lag-us" (max_reclamation_lag / 1000)
+  | Some w -> (
       Fault_report.set_gauge report "watchdog-escalations" (Watchdog.escalations w);
       Fault_report.set_gauge report "watchdog-nudges" (Watchdog.nudges w);
       Fault_report.set_gauge report "zombie-cancels" (Watchdog.zombie_cancels w);
@@ -772,7 +910,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
           Metrics.set_gauge "watchdog.escalations" (float_of_int (Watchdog.escalations w));
           Metrics.set_gauge "watchdog.zombie_cancels" (float_of_int (Watchdog.zombie_cancels w));
           Metrics.set_gauge "watchdog.max_reclamation_lag_us"
-            (float_of_int (max_reclamation_lag / 1000)));
+            (float_of_int (max_reclamation_lag / 1000))));
   (* Headline gauges for the metrics snapshot (the BENCH_obs / golden
      surface): every traced run exports these whether or not the hot
      paths fed their histograms, so the schema's required keys are
@@ -780,10 +918,9 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   (match Metrics.in_scope () with
   | None -> ()
   | Some reg ->
-      let commits = Series.Rate.total commit_rate in
       Metrics.set_gauge "txn.throughput"
         (if cfg.Exp_config.duration_s > 0. then
-           float_of_int commits /. cfg.Exp_config.duration_s
+           float_of_int agg.t_commits /. cfg.Exp_config.duration_s
          else 0.);
       let scan = Metrics.histogram reg "scan.chain_length" in
       let scan_pctl p = if Histogram.total scan = 0 then 0 else Histogram.percentile scan p in
@@ -796,7 +933,7 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
       Metrics.set_gauge "space.peak_bytes" peak;
       Metrics.set_gauge "space.final_bytes" (float_of_int final.Engine.version_bytes);
       let lat_pctl p =
-        if Histogram.total latency_us = 0 then 0 else Histogram.percentile latency_us p
+        if Histogram.total agg.t_latency = 0 then 0 else Histogram.percentile agg.t_latency p
       in
       Metrics.set_gauge "txn.latency_p50_us" (float_of_int (lat_pctl 0.5));
       Metrics.set_gauge "txn.latency_p99_us" (float_of_int (lat_pctl 0.99));
@@ -811,16 +948,16 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
   let cdf = Histogram.cdf (eng.Engine.chain_histogram ()) in
   {
     engine_name = eng.Engine.name;
-    throughput = Series.Rate.per_second commit_rate;
+    throughput = per_second agg;
     version_space = Series.to_list space_series;
     redo = Series.to_list redo_series;
     max_chain = Series.to_list chain_series;
     splits = Series.to_list split_series;
     chain_cdf = cdf;
-    latency_us;
-    commits = Series.Rate.total commit_rate;
-    conflicts = !conflicts;
-    llt_reads = !llt_reads;
+    latency_us = agg.t_latency;
+    commits = agg.t_commits;
+    conflicts = agg.t_conflicts;
+    llt_reads = agg.t_llt_reads;
     truncations = final.Engine.truncations;
     latch_wait = final.Engine.latch_wait;
     cut_delays =
@@ -830,8 +967,8 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
     driver = eng.Engine.driver;
     faults = report;
     wal_errors = final.Engine.wal_errors;
-    retries = !retries;
-    give_ups = !give_ups;
+    retries = agg.t_retries;
+    give_ups = agg.t_give_ups;
     sheds;
     crashes = !crashes;
     recoveries = List.rev !recoveries;
@@ -839,592 +976,10 @@ let run_sim ~engine ?faults ?watchdog (cfg : Exp_config.t) =
     watchdog_escalations = (match wd with Some w -> Watchdog.escalations w | None -> 0);
     max_reclamation_lag;
     reclamation_lag_us =
-      (match !lag_mon with
+      (match lag_mon with
       | Some m -> Invariant.lag_histogram m
       | None -> Histogram.create ~bucket_width:50 ());
   }
-
-(* ================================================================== *)
-(* Domains mode: the same workload shape on real OCaml 5 domains.      *)
-(* ================================================================== *)
-
-(* Synchronization discipline (DESIGN §4f). Virtual time is coupled by
-   the Exec bounded-skew window (Atomic clock cells). Every call into
-   the engine — and every touch of driver state, the fault report, the
-   shed table or the current-txn slots — happens under one engine
-   mutex, so the MVCC structures see a linearizable call sequence while
-   tasks genuinely interleave at call granularity across domains.
-   Cross-task signalling (external aborts) goes through per-task
-   Atomic mailboxes: the injector rolls the victim's transaction back
-   through the engine under the lock and raises the owner's flag; the
-   owner consumes the flag at its next step and enters the same
-   backoff path as the Sim runner. Workload counters are task-local
-   and flushed to the shared aggregate exactly once, at the owner's
-   publish point (a fence followed by locked merges) — the publication
-   edge the [skip_publish_fence] sabotage knob severs. *)
-
-(* One per task that can hold an open transaction. [cur] is
-   lock-protected; [kill_req] is the owner's mailbox. *)
-type dslot = { kill_req : bool Atomic.t; mutable cur : Txn.t option }
-
-(* Task-local counters; merged into the aggregate at publish time. *)
-type dstats = {
-  mutable d_commits : int;
-  mutable d_conflicts : int;
-  mutable d_llt_reads : int;
-  mutable d_retries : int;
-  mutable d_give_ups : int;
-  d_latency : Histogram.t;
-  d_buckets : int array;  (* commits per whole second *)
-}
-
-let dstats_create nbuckets =
-  {
-    d_commits = 0;
-    d_conflicts = 0;
-    d_llt_reads = 0;
-    d_retries = 0;
-    d_give_ups = 0;
-    d_latency = Histogram.create ~bucket_width:10 ();
-    d_buckets = Array.make nbuckets 0;
-  }
-
-let run_domains ~engine ?faults ~domains ~skip_publish_fence (cfg : Exp_config.t) =
-  Failpoint.with_scope @@ fun () ->
-  let eng = engine cfg.Exp_config.schema in
-  let exec = Exec.domains ~domains () in
-  let horizon = Clock.seconds cfg.Exp_config.duration_s in
-  let lock = Mutex.create () in
-  let locked f =
-    Mutex.lock lock;
-    match f () with
-    | v ->
-        Mutex.unlock lock;
-        v
-    | exception exn ->
-        Mutex.unlock lock;
-        raise exn
-  in
-  let report = Fault_report.create () in
-  let nbuckets = int_of_float (Float.ceil cfg.Exp_config.duration_s) + 2 in
-  let agg = dstats_create nbuckets in
-  let agg_latency = ref agg.d_latency in
-  (* The publish point: one fence, then merge the task's counters into
-     the shared aggregate under the lock. The sabotage knob models a
-     missing publish fence by severing this edge entirely — the
-     coordinator then reads the aggregate's initial zeros, which the
-     differential digest comparison flags deterministically. *)
-  let publish (s : dstats) =
-    if not skip_publish_fence then begin
-      Exec.fence ();
-      locked (fun () ->
-          agg.d_commits <- agg.d_commits + s.d_commits;
-          agg.d_conflicts <- agg.d_conflicts + s.d_conflicts;
-          agg.d_llt_reads <- agg.d_llt_reads + s.d_llt_reads;
-          agg.d_retries <- agg.d_retries + s.d_retries;
-          agg.d_give_ups <- agg.d_give_ups + s.d_give_ups;
-          agg_latency := Histogram.merge !agg_latency s.d_latency;
-          Array.iteri (fun i c -> agg.d_buckets.(i) <- agg.d_buckets.(i) + c) s.d_buckets)
-    end
-  in
-  let bucket_commit (s : dstats) ~at =
-    let idx = int_of_float (Clock.to_seconds at) in
-    let idx = if idx < 0 then 0 else if idx >= nbuckets then nbuckets - 1 else idx in
-    s.d_buckets.(idx) <- s.d_buckets.(idx) + 1;
-    s.d_commits <- s.d_commits + 1
-  in
-  (* Kill switches, Sim's [abort_slots]/[shed_tbl] under the lock
-     discipline: the injector aborts the victim's transaction through
-     the engine right here (it already holds the lock, and the owner
-     cannot be mid-call), then raises the owner's mailbox flag. *)
-  let slots : dslot Vec.t = Vec.create () in
-  let shed_tbl : (Timestamp.t, dslot) Hashtbl.t = Hashtbl.create 64 in
-  let kill_slot (slot : dslot) ~now =
-    match slot.cur with
-    | Some txn ->
-        slot.cur <- None;
-        Hashtbl.remove shed_tbl txn.Txn.tid;
-        Atomic.set slot.kill_req true;
-        ignore (eng.Engine.abort txn ~now);
-        true
-    | None -> false
-  in
-  (match eng.Engine.driver with
-  | Some d ->
-      d.State.shed_hook <-
-        Some
-          (fun ~tid ~now ->
-            (* Runs inside [Driver.maintain], i.e. under the lock. *)
-            match Hashtbl.find_opt shed_tbl tid with
-            | Some slot -> kill_slot slot ~now
-            | None -> false)
-  | None -> ());
-  let make_backoff salt =
-    Backoff.create ~base_ns:(Clock.us 200) ~cap_ns:(Clock.ms 20) ~max_attempts:6
-      (Rng.create (cfg.Exp_config.seed lxor salt))
-  in
-  let master_rng = Rng.create cfg.Exp_config.seed in
-  let samplers =
-    List.map
-      (fun { Exp_config.at_s; pattern } ->
-        (at_s, Access.create cfg.Exp_config.schema pattern))
-      (if cfg.Exp_config.phases = [] then [ { Exp_config.at_s = 0.; pattern = Access.Uniform } ]
-       else cfg.Exp_config.phases)
-  in
-  let sampler_at s =
-    let rec pick current = function
-      | [] -> current
-      | (at_s, sampler) :: rest -> if s >= at_s then pick sampler rest else current
-    in
-    match samplers with
-    | [] -> assert false
-    | (_, first) :: rest -> pick first rest
-  in
-  (* OLTP workers: the same two-step transaction shape as Sim mode
-     (begin, then the whole body) with the same per-worker RNG streams
-     — worker [i] issues the same operation sequence in both modes
-     until real interleaving diverges its conflict history. *)
-  let spawn_worker i =
-    let rng = Rng.split master_rng in
-    let s = dstats_create nbuckets in
-    let slot = { kill_req = Atomic.make false; cur = None } in
-    Vec.push slots slot;
-    let pending = ref None in
-    let backoff = make_backoff (0x42e7 lxor (i * 0x9e3779b9)) in
-    let begin_txn now =
-      let t =
-        locked (fun () ->
-            let txn, t = eng.Engine.begin_txn ~now in
-            pending := Some txn;
-            slot.cur <- Some txn;
-            Hashtbl.replace shed_tbl txn.Txn.tid slot;
-            t)
-      in
-      Exec.Sleep_until t
-    in
-    (* After an external abort (fault injection or governor shed): the
-       injector already rolled the transaction back through the engine;
-       we re-enter the same backoff/give-up policy as Sim mode. *)
-    let after_kill now =
-      match Backoff.next backoff with
-      | Some delay ->
-          s.d_retries <- s.d_retries + 1;
-          Exec.Sleep_until (now + delay)
-      | None ->
-          s.d_give_ups <- s.d_give_ups + 1;
-          Backoff.reset backoff;
-          if now >= horizon then begin
-            publish s;
-            Exec.Finished
-          end
-          else begin_txn now
-    in
-    Exec.spawn exec ~name:(Printf.sprintf "worker-%d" i) ~at:0 (fun now ->
-        match !pending with
-        | None ->
-            if Atomic.get slot.kill_req then begin
-              Atomic.set slot.kill_req false;
-              after_kill now
-            end
-            else if now >= horizon then begin
-              publish s;
-              Exec.Finished
-            end
-            else begin_txn now
-        | Some txn ->
-            pending := None;
-            let access = sampler_at (Clock.to_seconds now) in
-            let body =
-              locked (fun () ->
-                  if Atomic.get slot.kill_req then begin
-                    Atomic.set slot.kill_req false;
-                    `Killed
-                  end
-                  else begin
-                    slot.cur <- None;
-                    Hashtbl.remove shed_tbl txn.Txn.tid;
-                    let t = ref now in
-                    (try
-                       for _ = 1 to cfg.Exp_config.reads_per_txn do
-                         let rid = Access.sample access rng in
-                         let _, t' = eng.Engine.read txn ~rid ~now:!t in
-                         t := t'
-                       done;
-                       for _ = 1 to cfg.Exp_config.writes_per_txn do
-                         let rid = Access.sample access rng in
-                         match
-                           eng.Engine.write txn ~rid ~payload:(Rng.int rng 1_000_000)
-                             ~now:!t
-                         with
-                         | Engine.Committed_path t' -> t := t'
-                         | Engine.Conflict t' ->
-                             t := t';
-                             raise Exit
-                       done;
-                       t := eng.Engine.commit txn ~now:!t;
-                       Backoff.reset backoff;
-                       bucket_commit s ~at:!t;
-                       Histogram.add s.d_latency ((!t - txn.Txn.begin_time) / 1_000)
-                     with Exit ->
-                       s.d_conflicts <- s.d_conflicts + 1;
-                       t := eng.Engine.abort txn ~now:!t);
-                    `Ran !t
-                  end)
-            in
-            (match body with
-            | `Killed -> after_kill now
-            | `Ran t -> Exec.Sleep_until t))
-  in
-  for i = 0 to cfg.Exp_config.workers - 1 do
-    spawn_worker i
-  done;
-  (* LLT drivers: begin at [start_s], read continuously under the
-     engine lock, commit at end-of-life. No zombie switches — the
-     watchdog ladder (and therefore the zombie containment rung) is
-     Sim-only. *)
-  List.iteri
-    (fun gi { Exp_config.start_s; duration_s; count } ->
-      for li = 0 to count - 1 do
-        let rng = Rng.split master_rng in
-        let uniform = Access.create cfg.Exp_config.schema Access.Uniform in
-        let s = dstats_create nbuckets in
-        let slot = { kill_req = Atomic.make false; cur = None } in
-        Vec.push slots slot;
-        let state = ref None in
-        let backoff = make_backoff (0x11c0ffee lxor ((gi * 131) + li)) in
-        let llt_end = Clock.seconds (start_s +. duration_s) in
-        let after_kill now =
-          match Backoff.next backoff with
-          | Some delay ->
-              s.d_retries <- s.d_retries + 1;
-              Exec.Sleep_until (now + delay)
-          | None ->
-              s.d_give_ups <- s.d_give_ups + 1;
-              publish s;
-              Exec.Finished
-        in
-        Exec.spawn exec
-          ~name:(Printf.sprintf "llt-%d-%d" gi li)
-          ~at:(Clock.seconds start_s)
-          (fun now ->
-            match !state with
-            | None ->
-                if now >= llt_end || now >= horizon then begin
-                  publish s;
-                  Exec.Finished
-                end
-                else if Atomic.get slot.kill_req then begin
-                  Atomic.set slot.kill_req false;
-                  after_kill now
-                end
-                else begin
-                  let t =
-                    locked (fun () ->
-                        let txn, t = eng.Engine.begin_txn ~now in
-                        state := Some txn;
-                        slot.cur <- Some txn;
-                        Hashtbl.replace shed_tbl txn.Txn.tid slot;
-                        t)
-                  in
-                  Exec.Sleep_until t
-                end
-            | Some txn ->
-                let verdict =
-                  locked (fun () ->
-                      if Atomic.get slot.kill_req then begin
-                        Atomic.set slot.kill_req false;
-                        `Killed
-                      end
-                      else if now >= llt_end || now >= horizon then begin
-                        state := None;
-                        slot.cur <- None;
-                        Hashtbl.remove shed_tbl txn.Txn.tid;
-                        ignore (eng.Engine.commit txn ~now);
-                        `Done
-                      end
-                      else begin
-                        let rid = Access.sample uniform rng in
-                        let _, t = eng.Engine.read txn ~rid ~now in
-                        s.d_llt_reads <- s.d_llt_reads + 1;
-                        `Ran t
-                      end)
-                in
-                (match verdict with
-                | `Killed ->
-                    state := None;
-                    after_kill now
-                | `Done ->
-                    publish s;
-                    Exec.Finished
-                | `Ran t -> Exec.Sleep_until t))
-      done)
-    cfg.Exp_config.llts;
-  (* Background GC, paced by the governor exactly as in Sim mode. *)
-  Exec.spawn exec ~name:"gc" ~at:cfg.Exp_config.gc_period (fun now ->
-      if now >= horizon then Exec.Finished
-      else begin
-        let t, period =
-          locked (fun () ->
-              let t = eng.Engine.maintenance ~now in
-              let period =
-                match eng.Engine.driver with
-                | Some d ->
-                    let scale = Governor.gc_scale (Driver.governor d) in
-                    max (Clock.us 500)
-                      (int_of_float (float_of_int cfg.Exp_config.gc_period *. scale))
-                | None -> cfg.Exp_config.gc_period
-              in
-              (t, period))
-        in
-        Exec.Sleep_until (max t (now + period))
-      end);
-  (* Fuzzy checkpointer, durable engines only (parity with Sim; crash
-     faults themselves stay Sim-only). *)
-  (match eng.Engine.checkpoint with
-  | Some ckpt when cfg.Exp_config.ckpt_period_s > 0. ->
-      let period = max 1 (Clock.seconds cfg.Exp_config.ckpt_period_s) in
-      Exec.spawn exec ~name:"checkpointer" ~at:period (fun now ->
-          locked (fun () -> ckpt ~now);
-          if now >= horizon then Exec.Finished else Exec.Sleep_until (now + period))
-  | _ -> ());
-  (* Metrics sampler (sole owner of the series; read after the join). *)
-  let space_series = Series.create "space" in
-  let redo_series = Series.create "redo" in
-  let chain_series = Series.create "chain" in
-  let split_series = Series.create "splits" in
-  let sample_period = Clock.seconds cfg.Exp_config.sample_period_s in
-  Exec.spawn exec ~name:"sampler" ~at:sample_period (fun now ->
-      let smp = locked (fun () -> eng.Engine.sample ()) in
-      let sec = Clock.to_seconds now in
-      Series.add space_series ~time:sec ~value:(float_of_int smp.Engine.version_bytes);
-      Series.add redo_series ~time:sec ~value:(float_of_int smp.Engine.redo_bytes);
-      Series.add chain_series ~time:sec ~value:(float_of_int smp.Engine.max_chain);
-      Series.add split_series ~time:sec ~value:(float_of_int smp.Engine.splits);
-      if now >= horizon then Exec.Finished else Exec.Sleep_until (now + sample_period));
-  (* Fault harness: prune audit + invariant sweeps as in Sim mode, and
-     a bounded-reclamation-lag monitor armed directly (the Sim runner
-     arms it through the watchdog; Domains mode has no watchdog, but
-     the chaos soak still asserts the lag guarantee online). Crash
-     faults are stop-the-world and stay Sim-only: a [Crash] arrival is
-     recorded as [crash-skipped] and otherwise ignored — differential
-     campaigns run both modes under [Fault_plan.random ~crashes:false]
-     variants so neither side ever draws one. *)
-  let record_all ~at vs =
-    List.iter
-      (fun { Invariant.invariant; detail } -> Fault_report.record report ~at ~invariant ~detail)
-      vs
-  in
-  let lag_mon = ref None in
-  (match faults with
-  | None -> ()
-  | Some plan ->
-      (match eng.Engine.driver with
-      | Some d ->
-          Invariant.install_prune_audit d ~on_violation:(fun ~now viol ->
-              record_all ~at:now [ viol ]);
-          let bound =
-            Watchdog.lag_bound Watchdog.default_config ~gc_period:cfg.Exp_config.gc_period
-          in
-          lag_mon := Some (Invariant.lag_monitor d ~bound);
-          let period = Fault_plan.check_period plan in
-          (* Horizon check first: a sweep dispatched past the horizon
-             would clock segment deaths later than the [finish_lag]
-             settle time and make the final lags negative. *)
-          Exec.spawn exec ~name:"invariants" ~at:period (fun now ->
-              if now >= horizon then Exec.Finished
-              else begin
-                locked (fun () ->
-                    Fault_report.note_check report;
-                    record_all ~at:now (Invariant.check_all d);
-                    match !lag_mon with
-                    | Some m -> record_all ~at:now (Invariant.check_lag m ~now)
-                    | None -> ());
-                Exec.Sleep_until (now + period)
-              end)
-      | None -> ());
-      let victim_rng = Rng.create (Fault_plan.seed plan lxor 0x7fabc0de) in
-      let engine_wal () =
-        match eng.Engine.driver with
-        | Some d -> (
-            match d.State.wal with
-            | Some wal when Wal.is_durable wal -> Some wal
-            | _ -> None)
-        | None -> None
-      in
-      let apply action ~now =
-        match action with
-        | Fault_plan.Crash -> Fault_report.note_fault report "crash-skipped"
-        | action -> (
-            Fault_report.note_fault report (Fault_plan.action_name action);
-            match action with
-            | Fault_plan.Crash -> ()
-            | Fault_plan.Abort_txn ->
-                let n = Vec.length slots in
-                if n > 0 then begin
-                  let start = Rng.int victim_rng n in
-                  let rec try_slot i =
-                    if i < n then
-                      if kill_slot (Vec.get slots ((start + i) mod n)) ~now then ()
-                      else try_slot (i + 1)
-                  in
-                  try_slot 0
-                end
-            | Fault_plan.Wal_bitflip -> (
-                match engine_wal () with
-                | Some wal when Wal.max_lsn wal > Wal.bootstrap_lsn ->
-                    let lo = Wal.bootstrap_lsn + 1 in
-                    let lsn = lo + Rng.int victim_rng (Wal.max_lsn wal - lo + 1) in
-                    ignore
-                      (Wal.corrupt_frame wal ~lsn (fun frame ->
-                           if String.length frame = 0 then frame
-                           else begin
-                             let b = Bytes.of_string frame in
-                             let i = Rng.int victim_rng (Bytes.length b) in
-                             Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-                             Bytes.to_string b
-                           end))
-                | _ -> ())
-            | Fault_plan.Wal_error ->
-                Failpoint.arm_fail_n "wal.append" 16;
-                Failpoint.arm_fail_n "wal.fsync" 4
-            | Fault_plan.Flush_fail -> Failpoint.arm_fail_n "vsorter.flush" 4
-            | Fault_plan.Evict_storm -> (
-                match eng.Engine.driver with
-                | Some d -> Buffer_pool.clear d.State.store_cache
-                | None -> ())
-            | Fault_plan.Space_storm ->
-                let records = Schema.records cfg.Exp_config.schema in
-                let txn, _ = eng.Engine.begin_txn ~now in
-                let conflicted = ref false in
-                (try
-                   for _ = 1 to 48 do
-                     let rid = Rng.int victim_rng records in
-                     match
-                       eng.Engine.write txn ~rid ~payload:(Rng.int victim_rng 1_000_000) ~now
-                     with
-                     | Engine.Committed_path _ -> ()
-                     | Engine.Conflict _ -> raise Exit
-                   done
-                 with Exit -> conflicted := true);
-                if !conflicted then ignore (eng.Engine.abort txn ~now)
-                else ignore (eng.Engine.commit txn ~now)
-            | Fault_plan.Cleaner_stall | Fault_plan.Collab_delay | Fault_plan.Llt_zombie ->
-                (* Liveness injections only bite in watchdog-armed runs;
-                   the ladder is Sim-only. *)
-                ()
-            | Fault_plan.Node_kill | Fault_plan.Node_revive ->
-                (* Whole-node faults belong to the replicated shard
-                   deployment, not this single-instance runner. *)
-                ())
-      in
-      let tick = Clock.us 250 in
-      Exec.spawn exec ~name:"faults" ~at:tick (fun now ->
-          if now >= horizon then Exec.Finished
-          else begin
-            let due = Fault_plan.poll plan ~now in
-            if due <> [] then locked (fun () -> List.iter (fun a -> apply a ~now) due);
-            Exec.Sleep_until (now + tick)
-          end));
-  (* [until] is effectively unbounded: every task self-terminates once
-     its local clock passes [horizon], and only a [Finished] step runs
-     the task's publish point — retiring tasks at the horizon from the
-     outside would silently drop their counters. *)
-  let engine_failed =
-    try
-      ignore (Exec.run exec ~until:(horizon + Clock.seconds 3600.));
-      false
-    with exn when faults <> None ->
-      Fault_report.record report ~at:(Exec.frontier exec) ~invariant:"engine-failure"
-        ~detail:(Printexc.to_string exn);
-      true
-  in
-  if not engine_failed then eng.Engine.finish ~now:horizon;
-  (match !lag_mon with Some m -> Invariant.finish_lag m ~now:horizon | None -> ());
-  (match eng.Engine.driver with
-  | Some d ->
-      Invariant.remove_prune_audit d;
-      d.State.shed_hook <- None
-  | None -> ());
-  let final = eng.Engine.sample () in
-  let sheds =
-    match eng.Engine.driver with
-    | Some d -> Governor.sheds (Driver.governor d)
-    | None -> 0
-  in
-  Fault_report.set_gauge report "wal-errors" final.Engine.wal_errors;
-  Fault_report.set_gauge report "retries" agg.d_retries;
-  Fault_report.set_gauge report "give-ups" agg.d_give_ups;
-  Fault_report.set_gauge report "sheds" sheds;
-  (match eng.Engine.driver with
-  | Some d -> (
-      match d.State.gc_backend with
-      | Some h ->
-          Fault_report.set_gauge report "gc-backend" h.State.gh_id;
-          List.iter (fun (k, n) -> Fault_report.set_gauge report k n) (h.State.gh_gauges ())
-      | None -> ())
-  | None -> ());
-  let max_reclamation_lag = match !lag_mon with Some m -> Invariant.max_lag m | None -> 0 in
-  (match !lag_mon with
-  | Some _ ->
-      Fault_report.set_gauge report "max-reclamation-lag-us" (max_reclamation_lag / 1000)
-  | None -> ());
-  let throughput =
-    let rec trim = function 0 :: rest -> trim rest | l -> l in
-    let buckets = List.rev (trim (List.rev (Array.to_list agg.d_buckets))) in
-    List.mapi (fun i c -> (float_of_int i, float_of_int c)) buckets
-  in
-  {
-    engine_name = eng.Engine.name;
-    throughput;
-    version_space = Series.to_list space_series;
-    redo = Series.to_list redo_series;
-    max_chain = Series.to_list chain_series;
-    splits = Series.to_list split_series;
-    chain_cdf = Histogram.cdf (eng.Engine.chain_histogram ());
-    latency_us = !agg_latency;
-    commits = agg.d_commits;
-    conflicts = agg.d_conflicts;
-    llt_reads = agg.d_llt_reads;
-    truncations = final.Engine.truncations;
-    latch_wait = final.Engine.latch_wait;
-    cut_delays =
-      (match eng.Engine.driver with
-      | Some d -> Version_store.cut_delays (Driver.store d)
-      | None -> []);
-    driver = eng.Engine.driver;
-    faults = report;
-    wal_errors = final.Engine.wal_errors;
-    retries = agg.d_retries;
-    give_ups = agg.d_give_ups;
-    sheds;
-    crashes = 0;
-    recoveries = [];
-    zombie_cancels = 0;
-    watchdog_escalations = 0;
-    max_reclamation_lag;
-    reclamation_lag_us =
-      (match !lag_mon with
-      | Some m -> Invariant.lag_histogram m
-      | None -> Histogram.create ~bucket_width:50 ());
-  }
-
-type mode = Sim | Domains of { domains : int }
-
-let run ~engine ?faults ?watchdog ?(mode = Sim) ?(skip_publish_fence = false)
-    (cfg : Exp_config.t) =
-  match mode with
-  | Sim ->
-      (* The sabotage knob models a broken cross-domain publication; it
-         has no meaning on the single-threaded substrate. *)
-      ignore skip_publish_fence;
-      run_sim ~engine ?faults ?watchdog cfg
-  | Domains { domains } ->
-      if domains < 1 then invalid_arg "Runner.run: need at least one domain";
-      if watchdog <> None then
-        invalid_arg
-          "Runner.run: the watchdog ladder is Sim-only (its stall injections and \
-           stop-the-world restart rung assume the discrete-event scheduler)";
-      run_domains ~engine ?faults ~domains ~skip_publish_fence cfg
 
 let avg_throughput r ~between:(lo, hi) =
   let xs =

@@ -58,21 +58,21 @@ type result = {
           when not armed *)
 }
 
-type mode =
-  | Sim  (** deterministic discrete-event simulation (the seed behavior) *)
+type mode = Exec.mode =
+  | Sim  (** deterministic discrete-event simulation on {!Exec.inline} *)
   | Domains of { domains : int }
-      (** real OCaml 5 parallelism: workers, LLT drivers, GC, sampler
-          and fault tasks run on [domains] [Domain.t]s with real
-          [Atomic]/[Mutex] synchronization, their virtual clocks coupled
-          by the {!Exec} bounded-skew window. Engine/driver/txn layers
-          are reused unchanged behind one engine mutex; cross-task kills
-          go through Atomic mailboxes; each task's counters reach the
-          shared aggregate only at its publish point. Watchdog configs
-          are rejected ([Invalid_argument]) and crash faults are
-          recorded as [crash-skipped] and not applied — both are
-          stop-the-world constructs of the Sim scheduler. Results are
-          statistically (not bit-) reproducible; compare across modes
-          with {!Run_digest}. *)
+      (** real OCaml 5 parallelism: the same campaign's workers, LLT
+          drivers, GC, sampler and fault tasks run on [domains]
+          [Domain.t]s with real [Atomic]/[Mutex] synchronization, their
+          virtual clocks coupled by the {!Exec} bounded-skew window.
+          Engine/driver/txn layers are reused unchanged; every task step
+          is one critical section of the engine mutex, and each task's
+          counters reach the shared aggregate only at its publish point.
+          Watchdog configs are rejected ([Invalid_argument]) and crash
+          faults are recorded as [crash-skipped] and not applied — both
+          are stop-the-world constructs of the discrete-event substrate.
+          Results are statistically (not bit-) reproducible; compare
+          across modes with {!Run_digest}. *)
 
 val run :
   engine:(Schema.t -> Engine.t) ->
@@ -84,13 +84,15 @@ val run :
   result
 (** [run ~engine ?faults ?watchdog cfg] builds the engine and drives the
     discrete-event simulation. [?mode] (default [Sim]) selects the
-    execution substrate; the Sim path is untouched by the mode
-    machinery, so default-mode runs stay bit-identical to the seed.
+    execution substrate; both modes run one campaign body, and only
+    the crash, watchdog and zombie wiring, the dispatch probe and the
+    per-task counter publication differ between them.
     [?skip_publish_fence] (default false, Domains-only sabotage knob)
     severs the publication of task-local counters to the shared
     aggregate — the differential digest comparison must catch it; see
-    {!Run_digest}. With [?faults], the scheduler's dispatch
-    probe consults the plan before every process step; due injections
+    {!Run_digest}. With [?faults], the plan is consulted before every
+    process step (Sim: the {!Exec.set_probe} dispatch probe) or every
+    250 us of simulated time (Domains: a [faults] task); due injections
     (crashes, forced aborts, WAL errors, flush failures, cache eviction
     storms, space storms) are applied to the engine, a continuous
     prune-soundness audit is armed on the vDriver instance, and a

@@ -1,10 +1,13 @@
 (** Campaign driver for sharded deployments.
 
-    Sim mode is the seed discrete-event scheduler over a
-    {!Shard_group}: OLTP workers routed by a {!Shard_router} (a drawn
-    fraction of writing transactions forced cross-shard, i.e. through
-    2PC), an LLT fleet pinning global snapshots, per-shard background
+    One campaign body runs on either {!Exec} substrate: OLTP workers
+    routed by a {!Shard_router} over a {!Shard_group} (a drawn fraction
+    of writing transactions forced cross-shard, i.e. through 2PC), an
+    LLT fleet pinning global snapshots, per-shard background
     maintenance and fuzzy checkpoints, a global epoch broadcaster, and
+    the net resolver and failover scheduler when configured.
+
+    Sim mode runs it on the deterministic discrete-event substrate with
     the full fault surface — power loss at scheduled global log
     positions, {b crash-at-every-2PC-step} via the group's step hook,
     and torn tails on a rotating shard. After every restart the
@@ -15,11 +18,12 @@
     deterministic: same config, same bytes.
 
     Domains mode runs the honest path on real OCaml 5 domains over the
-    {!Exec} bounded-skew substrate — the same task shapes and simulated
-    costs as Sim, interleaved for real, with one mutex serializing
-    group calls at operation granularity — statistically reproducible,
+    {!Exec} bounded-skew substrate — the same tasks and simulated
+    costs, interleaved for real, each task step one critical section of
+    a mutex serializing the group — statistically reproducible,
     compared across modes with {!digest_diff}. Crash faults are
-    Sim-only and rejected ([Invalid_argument]).
+    Sim-only and rejected ([Invalid_argument]); the periodic invariant
+    sweep is Sim-only too (the end-of-run verdicts run in both modes).
 
     Both modes can attach a {!Net_fault} config: the 2PC and epoch
     choreography then rides the seeded lossy fabric, a periodic
@@ -30,7 +34,7 @@
     fabric is provably transparent — reports and digests are
     byte-identical to the pre-fabric driver. *)
 
-type mode = Sim | Domains of { domains : int }
+type mode = Exec.mode = Sim | Domains of { domains : int }
 
 type cfg = {
   base : Exp_config.t;  (** workload shape: workers, mix, LLTs, periods *)

@@ -1,7 +1,7 @@
 (* Sim-vs-Domains differential tests.
 
    The Exec substrate is unit-tested on its own (determinism of the
-   inline twin, window respect and completion on real domains, crash
+   inline substrate, window respect and completion on real domains, crash
    containment), then the two Runner modes are compared end to end:
    a pinned-config regression proves the default Sim path still
    produces the exact seed numbers after the domain-safety rewrites,
@@ -18,7 +18,7 @@ let check_bool = Alcotest.(check bool)
 (* Exec substrate *)
 
 (* Two inline runs of the same task set produce the identical step log:
-   the inline substrate is the deterministic twin. *)
+   the inline substrate is deterministic. *)
 let exec_inline_log () =
   let log = ref [] in
   let e = Exec.inline () in

@@ -1,4 +1,5 @@
-(* Tests for repro_sim: clock, resources (latches), scheduler. *)
+(* Tests for repro_sim: clock, resources (latches), the inline Exec
+   substrate as discrete-event scheduler. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -46,78 +47,173 @@ let test_resource_negative_hold () =
     (fun () -> ignore (Resource.acquire r ~now:0 ~hold:(-1)))
 
 (* -------------------------------------------------------------------- *)
-(* Scheduler *)
+(* Discrete-event scheduling: the inline Exec substrate *)
 
 let test_scheduler_time_order () =
-  let sched = Scheduler.create () in
+  let sched = Exec.inline () in
   let log = ref [] in
-  Scheduler.spawn sched ~name:"b" ~at:20 (fun now ->
+  Exec.spawn sched ~name:"b" ~at:20 (fun now ->
       log := ("b", now) :: !log;
-      Scheduler.Finished);
-  Scheduler.spawn sched ~name:"a" ~at:10 (fun now ->
+      Exec.Finished);
+  Exec.spawn sched ~name:"a" ~at:10 (fun now ->
       log := ("a", now) :: !log;
-      Scheduler.Finished);
-  ignore (Scheduler.run sched ~until:100);
+      Exec.Finished);
+  ignore (Exec.run sched ~until:100);
   check_bool "a before b" true (List.rev !log = [ ("a", 10); ("b", 20) ])
 
 let test_scheduler_periodic () =
-  let sched = Scheduler.create () in
+  let sched = Exec.inline () in
   let ticks = ref 0 in
-  Scheduler.spawn sched ~name:"tick" ~at:0 (fun now ->
+  Exec.spawn sched ~name:"tick" ~at:0 (fun now ->
       incr ticks;
-      Scheduler.Sleep_until (now + 10));
-  ignore (Scheduler.run sched ~until:95);
+      Exec.Sleep_until (now + 10));
+  let last = Exec.run sched ~until:95 in
   (* fires at 0,10,...,90 *)
-  check_int "ticks" 10 !ticks
+  check_int "ticks" 10 !ticks;
+  check_int "now is the last dispatched wake-up" 90 last;
+  check_int "now readable after the run" 90 (Exec.now sched)
 
 let test_scheduler_until_boundary () =
-  let sched = Scheduler.create () in
+  let sched = Exec.inline () in
   let fired = ref false in
-  Scheduler.spawn sched ~name:"late" ~at:101 (fun _ ->
+  let at_until = ref false in
+  Exec.spawn sched ~name:"late" ~at:101 (fun _ ->
       fired := true;
-      Scheduler.Finished);
-  ignore (Scheduler.run sched ~until:100);
-  check_bool "beyond-horizon process not run" false !fired
+      Exec.Finished);
+  Exec.spawn sched ~name:"edge" ~at:100 (fun _ ->
+      at_until := true;
+      Exec.Finished);
+  ignore (Exec.run sched ~until:100);
+  check_bool "beyond-horizon process not run" false !fired;
+  check_bool "process at the horizon runs" true !at_until
 
 let test_scheduler_progress_guarantee () =
   (* A process that reschedules at its own wake time must still make
      the simulation advance rather than loop forever. *)
-  let sched = Scheduler.create () in
+  let sched = Exec.inline () in
   let steps = ref 0 in
-  Scheduler.spawn sched ~name:"stutter" ~at:0 (fun now ->
+  Exec.spawn sched ~name:"stutter" ~at:0 (fun now ->
       incr steps;
-      if !steps > 1000 then Scheduler.Finished else Scheduler.Sleep_until now);
-  let t = Scheduler.run sched ~until:10_000 in
+      if !steps > 1000 then Exec.Finished else Exec.Sleep_until now);
+  let t = Exec.run sched ~until:10_000 in
   check_bool "advanced past 0" true (t > 0);
   check_int "step cap reached" 1001 !steps
 
 let test_scheduler_tie_break_registration_order () =
-  let sched = Scheduler.create () in
+  let sched = Exec.inline () in
   let log = ref [] in
   List.iter
     (fun name ->
-      Scheduler.spawn sched ~name ~at:5 (fun _ ->
+      Exec.spawn sched ~name ~at:5 (fun _ ->
           log := name :: !log;
-          Scheduler.Finished))
+          Exec.Finished))
     [ "first"; "second"; "third" ];
-  ignore (Scheduler.run sched ~until:10);
+  ignore (Exec.run sched ~until:10);
   check_bool "registration order" true (List.rev !log = [ "first"; "second"; "third" ])
 
 let test_scheduler_interleaving_with_resource () =
   (* Two workers contending on one latch: completions must serialize. *)
-  let sched = Scheduler.create () in
+  let sched = Exec.inline () in
   let latch = Resource.create "page" in
   let completions = ref [] in
   let spawn_worker name at =
-    Scheduler.spawn sched ~name ~at (fun now ->
+    Exec.spawn sched ~name ~at (fun now ->
         let fin = Resource.acquire latch ~now ~hold:100 in
         completions := (name, fin) :: !completions;
-        Scheduler.Finished)
+        Exec.Finished)
   in
   spawn_worker "w1" 0;
   spawn_worker "w2" 10;
-  ignore (Scheduler.run sched ~until:1_000);
+  ignore (Exec.run sched ~until:1_000);
   check_bool "serialized" true (List.rev !completions = [ ("w1", 100); ("w2", 200) ])
+
+(* The probe sees every dispatch, in dispatch order, before the step. *)
+let test_scheduler_probe () =
+  let sched = Exec.inline () in
+  let log = ref [] in
+  Exec.spawn sched ~name:"p" ~at:3 (fun now ->
+      log := Printf.sprintf "step p@%d" now :: !log;
+      if now >= 5 then Exec.Finished else Exec.Sleep_until (now + 2));
+  Exec.set_probe sched (fun ~name ~now -> log := Printf.sprintf "probe %s@%d" name now :: !log);
+  ignore (Exec.run sched ~until:100);
+  check_bool "probe precedes each step" true
+    (List.rev !log = [ "probe p@3"; "step p@3"; "probe p@5"; "step p@5" ]);
+  Alcotest.check_raises "probe is inline-only"
+    (Invalid_argument "Exec.set_probe: the dispatch probe is inline-only") (fun () ->
+      Exec.set_probe (Exec.domains ~domains:1 ()) (fun ~name:_ ~now:_ -> ()))
+
+(* Inline dispatch order equals a reference stable sort of every
+   (wake-up, spawn seq) the tasks ever ask for. Each task carries a
+   script of relative sleeps, some into the past (bumped to now + 1);
+   the reference replays the same scripts against a plain list. *)
+type script_task = { start : int; sleeps : int list }
+
+let reference_order tasks ~until =
+  (* Each pending entry: (wake, seq, remaining script). Pick the
+     minimum by (wake, seq) until every wake exceeds [until]. *)
+  let pending =
+    ref (List.mapi (fun seq t -> (t.start, seq, t.sleeps)) tasks)
+  in
+  let out = ref [] in
+  let rec loop () =
+    let live = List.filter (fun (w, _, _) -> w <= until) !pending in
+    match List.sort compare live with
+    | [] -> ()
+    | ((w, seq, script) as best) :: _ ->
+        out := (seq, w) :: !out;
+        pending := List.filter (fun e -> e != best) !pending;
+        (match script with
+        | [] -> ()
+        | d :: rest ->
+            let next = w + d in
+            let next = if next > w then next else w + 1 in
+            pending := (next, seq, rest) :: !pending);
+        loop ()
+  in
+  loop ();
+  List.rev !out
+
+let inline_order tasks ~until =
+  let sched = Exec.inline () in
+  let out = ref [] in
+  List.iteri
+    (fun seq t ->
+      let script = ref t.sleeps in
+      Exec.spawn sched ~name:(string_of_int seq) ~at:t.start (fun now ->
+          out := (seq, now) :: !out;
+          match !script with
+          | [] -> Exec.Finished
+          | d :: rest ->
+              script := rest;
+              Exec.Sleep_until (now + d)))
+    tasks;
+  ignore (Exec.run sched ~until);
+  List.rev !out
+
+let qcheck_inline_order_matches_reference =
+  let open QCheck in
+  let gen =
+    Gen.(
+      pair
+        (list_size (int_range 1 12)
+           (map2
+              (fun start sleeps -> { start; sleeps })
+              (int_range 0 40)
+              (list_size (int_range 0 15) (int_range (-10) 25))))
+        (int_range 0 200))
+  in
+  let print (tasks, until) =
+    Printf.sprintf "until=%d tasks=[%s]" until
+      (String.concat "; "
+         (List.map
+            (fun t ->
+              Printf.sprintf "{start=%d sleeps=[%s]}" t.start
+                (String.concat "," (List.map string_of_int t.sleeps)))
+            tasks))
+  in
+  Test.make ~name:"inline dispatch order = stable sort by (wake-up, spawn seq)" ~count:500
+    (make ~print gen) (fun (tasks, until) ->
+      inline_order tasks ~until = reference_order tasks ~until)
 
 (* -------------------------------------------------------------------- *)
 (* Queue_model *)
@@ -171,5 +267,7 @@ let suites =
         Alcotest.test_case "progress guarantee" `Quick test_scheduler_progress_guarantee;
         Alcotest.test_case "deterministic tie-break" `Quick test_scheduler_tie_break_registration_order;
         Alcotest.test_case "latch serialization" `Quick test_scheduler_interleaving_with_resource;
+        Alcotest.test_case "dispatch probe" `Quick test_scheduler_probe;
+        QCheck_alcotest.to_alcotest qcheck_inline_order_matches_reference;
       ] );
   ]
