@@ -105,6 +105,8 @@ type t = {
   fence_at : Clock.time array; (* per shard: last promotion time (0 = never) *)
   acked_tbl : (int, int * int list) Hashtbl.t; (* tid -> (cts, parts) acked to the client *)
   mutable unacked : int; (* locally committed, never acked (quorum missed) *)
+  coord_memo : (int * int * (int, int) Hashtbl.t) option array;
+      (* per coord: decisions of its log at (generation, next LSN) *)
 }
 
 let shard_of t ~rid = rid mod t.n
@@ -294,6 +296,30 @@ let handle t ~ep ~now ~src msg =
         t.shard_zones.(s) <- zones
       end
 
+(* In-doubt resolution at recovery: ask the coordinator's durable log —
+   its trustworthy prefix plus its checkpoint's decision window — exactly
+   what {!Wal_recovery.expect} collects. The scan is always honest (CRC
+   on): recovery may not trust a torn decision. A log is fully described
+   by its generation and next LSN, so the decisions of an unchanged log
+   are analysed once however many in-doubt participants ask. *)
+let coord_decision t ~tid ~coord =
+  if coord < 0 || coord >= t.n then None
+  else begin
+    let wal = t.shards.(coord).Shard.wal in
+    let gen = Wal.generation wal and next = Wal.next_lsn wal in
+    let decisions =
+      match t.coord_memo.(coord) with
+      | Some (g, l, tbl) when g = gen && l = next -> tbl
+      | _ ->
+          let exp = Wal_recovery.expect (Wal_recovery.analyze ~check_crc:true wal) in
+          let tbl = Hashtbl.create 64 in
+          List.iter (fun (gid, cts) -> Hashtbl.replace tbl gid cts) exp.Wal_recovery.decisions;
+          t.coord_memo.(coord) <- Some (gen, next, tbl);
+          tbl
+    in
+    Hashtbl.find_opt decisions tid
+  end
+
 let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rto
     ?net_indoubt_after ~shards:n schema =
   if n < 1 then invalid_arg "Shard_group.create: need at least one shard";
@@ -374,6 +400,7 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
       fence_at = Array.make n 0;
       acked_tbl = Hashtbl.create 256;
       unacked = 0;
+      coord_memo = Array.make n None;
     }
   in
   for ep = 0 to n - 1 do
@@ -405,21 +432,7 @@ let create ?costs ?driver_config ?(flavor = `Pg) ?(net = Net_fault.none) ?net_rt
               |> List.sort compare
             in
             (prep, dec));
-      (* In-doubt resolution at restart: ask the coordinator's durable
-         log — its trustworthy prefix plus its checkpoint's decision
-         window — exactly what {!Wal_recovery.expect} collects. The
-         scan is always honest (CRC on): recovery may not trust a torn
-         decision. *)
-      d.State.indoubt_resolver <-
-        Some
-          (fun ~tid ~coord ->
-            if coord < 0 || coord >= n then None
-            else
-              let exp =
-                Wal_recovery.expect
-                  (Wal_recovery.analyze ~check_crc:true t.shards.(coord).Shard.wal)
-              in
-              List.assoc_opt tid exp.Wal_recovery.decisions))
+      d.State.indoubt_resolver <- Some (fun ~tid ~coord -> coord_decision t ~tid ~coord))
     shards;
   t
 
@@ -1014,17 +1027,8 @@ let promote_fixup t ~sid:s ~now =
      replica layer has already settled (its promotion pass adopts every
      failing-over device before any fixup runs). *)
   let wal = t.shards.(s).Shard.wal in
-  let resolve ~tid ~coord =
-    if coord < 0 || coord >= t.n then None
-    else
-      let exp =
-        Wal_recovery.expect
-          (Wal_recovery.analyze ~check_crc:true t.shards.(coord).Shard.wal)
-      in
-      List.assoc_opt tid exp.Wal_recovery.decisions
-  in
   let analysis = Wal_recovery.analyze ~check_crc:true wal in
-  let exp = Wal_recovery.expect ~resolve analysis in
+  let exp = Wal_recovery.expect ~resolve:(coord_decision t) analysis in
   (* 4. Decisions the dead primary made that never reached a quorum:
      the shared commit log says committed, the surviving timeline says
      the transaction never happened. Flip them back with compensating
@@ -1089,9 +1093,10 @@ let attach_replicas t r =
 
 let replicas t = t.repl
 
-let acked t =
-  Hashtbl.fold (fun tid (cts, parts) acc -> (tid, cts, parts) :: acc) t.acked_tbl []
-  |> List.sort compare
+let acked ?(since = min_int) t =
+  Hashtbl.fold
+    (fun tid (cts, parts) acc -> if cts >= since then (tid, cts, parts) :: acc else acc)
+    t.acked_tbl []
 
 let acked_count t = Hashtbl.length t.acked_tbl
 let unacked t = t.unacked

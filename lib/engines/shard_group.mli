@@ -282,9 +282,10 @@ val shard_is_up : t -> int -> bool
 (** Whether the shard currently has a live primary (always true
     unreplicated). *)
 
-val acked : t -> (int * int * int list) list
+val acked : ?since:int -> t -> (int * int * int list) list
 (** The client-visible ledger: [(tid, cts, participants)] for every
-    commit acknowledged as [Committed], sorted by tid. What
+    commit acknowledged as [Committed] with [cts >= since] (default:
+    all), in no particular order. What
     {!Invariant.check_no_committed_loss} audits the logs against; the
     commit timestamp lets the oracle skip entries that have aged past a
     log's bounded checkpoint window. *)

@@ -477,41 +477,35 @@ let remove_prune_audit (d : Driver.t) =
 (* ------------------------------------------------------------------ *)
 (* Cross-shard 2PC atomicity *)
 
-let analyze_shard_logs wals =
-  List.sort (fun (a, _) (b, _) -> compare a b) wals
-  |> List.map (fun (sid, wal) -> (sid, Wal_recovery.analyze ~check_crc:true wal))
+let track_logs wals =
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) wals
+  |> List.map (fun (sid, wal) -> (sid, Wal_recovery.tracker wal))
 
-let check_cross_shard_atomicity ?clog ?analyses wals =
-  (* Honest analysis of every shard's log, with in-doubt transactions
-     resolved exactly the way a recovering participant must: a durable
-     Coord_commit anywhere in the coordinator's trustworthy prefix (or
-     its checkpoint's decision window) means commit; silence means
-     presumed abort. Analysis cost is linear in the logs, so a periodic
-     sweep that runs several log-level checks should analyze once
-     ({!analyze_shard_logs}) and share. *)
-  let analyses =
-    match analyses with Some a -> a | None -> analyze_shard_logs wals
+(* Bring every tracker up to its log and return them in shard order with
+   the durable coordinator-decision lookup both log oracles resolve
+   in-doubt transactions through: a Coord_commit anywhere in the
+   coordinator's trustworthy prefix (or its checkpoint's decision
+   window) means commit; silence means presumed abort. *)
+let advance_logs trackers =
+  let trackers = List.stable_sort (fun (a, _) (b, _) -> compare a b) trackers in
+  List.iter (fun (_, t) -> Wal_recovery.advance t) trackers;
+  let resolve ~tid ~coord =
+    match List.assoc_opt coord trackers with
+    | Some t -> Wal_recovery.decision t ~gid:tid
+    | None -> None
   in
-  let decisions : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (sid, (a : Wal_recovery.analysis)) ->
-      (match a.Wal_recovery.checkpoint with
-      | Some (_, ck) ->
-          List.iter
-            (fun (gid, cts) -> Hashtbl.replace decisions (sid, gid) cts)
-            ck.Checkpoint.decisions
-      | None -> ());
-      List.iter
-        (fun (r : Wal_record.t) ->
-          match r.Wal_record.payload with
-          | Wal_record.Coord_commit { gid; cts; _ } ->
-              Hashtbl.replace decisions (sid, gid) cts
-          | _ -> ())
-        a.Wal_recovery.records)
-    analyses;
-  let resolve ~tid ~coord = Hashtbl.find_opt decisions (coord, tid) in
+  (trackers, resolve)
+
+let check_cross_shard_atomicity ?clog trackers =
+  (* Every shard's log read honestly (CRC on), with in-doubt
+     transactions resolved exactly the way a recovering participant
+     must. The trackers fold only what was appended since the last
+     audit; the verdicts below are re-derived from their state every
+     time, because the decision table they consult moves with the other
+     shards' logs. *)
+  let trackers, resolve = advance_logs trackers in
   let exps =
-    List.map (fun (sid, a) -> (sid, a, Wal_recovery.expect ~resolve a)) analyses
+    List.map (fun (sid, t) -> (sid, t, Wal_recovery.current ~full:false ~resolve t)) trackers
   in
   let acc = ref [] in
   let add x = acc := x :: !acc in
@@ -533,7 +527,7 @@ let check_cross_shard_atomicity ?clog ?analyses wals =
   (* The headline invariant: no transaction commits on one shard and
      aborts (or stays a rolled-back loser) on another. *)
   Hashtbl.fold (fun tid l acc -> (tid, !l) :: acc) outcomes []
-  |> List.sort compare
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (tid, l) ->
          let commits = List.filter_map (function s, `C c -> Some (s, c) | _ -> None) l in
          let aborts = List.filter_map (function s, `A -> Some s | _ -> None) l in
@@ -563,26 +557,13 @@ let check_cross_shard_atomicity ?clog ?analyses wals =
      forced before any participant applies), so it needs no lucky crash
      timing to fire. *)
   List.iter
-    (fun (sid, (a : Wal_recovery.analysis), _) ->
-      let prep : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      (match a.Wal_recovery.checkpoint with
-      | Some (_, ck) ->
-          List.iter (fun (tid, coord) -> Hashtbl.replace prep tid coord) ck.Checkpoint.prepared
-      | None -> ());
-      List.iter
-        (fun (r : Wal_record.t) ->
-          match r.Wal_record.payload with
-          | Wal_record.Prepare { tid; coord; _ } -> Hashtbl.replace prep tid coord
-          | Wal_record.Txn_commit { tid; _ } -> (
-              match Hashtbl.find_opt prep tid with
-              | Some coord when not (Hashtbl.mem decisions (coord, tid)) ->
-                  add
-                    (v "2pc-decision-missing"
-                       "shard %d applied a commit for prepared t%d with no durable decision at coordinator shard %d"
-                       sid tid coord)
-              | _ -> ())
-          | _ -> ())
-        a.Wal_recovery.records)
+    (fun (sid, t, _) ->
+      Wal_recovery.iter_prepared_commits t (fun ~tid ~coord ->
+          if resolve ~tid ~coord = None then
+            add
+              (v "2pc-decision-missing"
+                 "shard %d applied a commit for prepared t%d with no durable decision at coordinator shard %d"
+                 sid tid coord)))
     exps;
   (* Group-level recovery-phantom check (the shared-manager form of the
      per-shard frontier check): immediately after a group restart, no
@@ -611,7 +592,7 @@ let check_cross_shard_atomicity ?clog ?analyses wals =
 (* ------------------------------------------------------------------ *)
 (* Replicated shards: zero committed loss *)
 
-let check_no_committed_loss ?analyses ~acked wals =
+let check_no_committed_loss ~acked trackers =
   (* The contract of a quorum-acknowledged commit: once the client was
      told "committed", every node-kill/failover schedule must leave the
      transaction committed on every participant's surviving log. The
@@ -620,11 +601,9 @@ let check_no_committed_loss ?analyses ~acked wals =
      decision table — checked against the client-visible acked ledger.
      An ack the logs cannot justify is a loss, whether it came from an
      ack-before-replicate lie or from a fenced stale primary's
-     fabricated ledger entries. *)
-  let analyses =
-    match analyses with Some a -> a | None -> analyze_shard_logs wals
-  in
-  (* Re-anchor each log at its last checkpoint NOT written by a
+     fabricated ledger entries.
+
+     Each log is replayed from its last checkpoint NOT written by a
      failover restart. A promotion's recovery checkpoint snapshots the
      global oracle frontier an instant after the device was adopted —
      taken at face value it would instantly archive (and so hide)
@@ -633,44 +612,8 @@ let check_no_committed_loss ?analyses ~acked wals =
      instead, so an acked commit missing from that suffix stays
      demandable until the next ordinary checkpoint absorbs the epoch —
      and the sweep grid visits that checkpoint's instant first. *)
-  let anchored =
-    List.map
-      (fun (sid, (a : Wal_recovery.analysis)) ->
-        let anchor = ref None and promoted = ref false in
-        List.iter
-          (fun (r : Wal_record.t) ->
-            match r.Wal_record.payload with
-            | Wal_record.Promote _ -> promoted := true
-            | Wal_record.Ckpt_end { snapshot } ->
-                if !promoted then promoted := false
-                else (
-                  match Checkpoint.of_json snapshot with
-                  | Ok ck -> anchor := Some (r.Wal_record.lsn, ck)
-                  | Error _ -> ())
-            | _ -> ())
-          a.Wal_recovery.records;
-        (sid, { a with Wal_recovery.checkpoint = !anchor }))
-      analyses
-  in
-  let decisions : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (sid, (a : Wal_recovery.analysis)) ->
-      (match a.Wal_recovery.checkpoint with
-      | Some (_, ck) ->
-          List.iter
-            (fun (gid, cts) -> Hashtbl.replace decisions (sid, gid) cts)
-            ck.Checkpoint.decisions
-      | None -> ());
-      List.iter
-        (fun (r : Wal_record.t) ->
-          match r.Wal_record.payload with
-          | Wal_record.Coord_commit { gid; cts; _ } ->
-              Hashtbl.replace decisions (sid, gid) cts
-          | _ -> ())
-        a.Wal_recovery.records)
-    analyses;
-  let resolve ~tid ~coord = Hashtbl.find_opt decisions (coord, tid) in
-  let committed_on : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+  let trackers, resolve = advance_logs trackers in
+  let anchor = Wal_recovery.Before_promotion in
   (* Per-log answerability horizon: the fuzzy checkpoint keeps only a
      bounded commit-log window, so outcomes whose commit timestamp
      predates the snapshot's oracle frontier may legitimately be
@@ -678,40 +621,43 @@ let check_no_committed_loss ?analyses ~acked wals =
      frontier was drawn after the snapshot was captured, so its frame
      is strictly after the checkpoint record and must survive in the
      log — those are the entries the oracle is entitled to demand. *)
-  let horizon : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let logs : (int, (int -> bool) * int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (sid, (a : Wal_recovery.analysis)) ->
-      let e = Wal_recovery.expect ~resolve a in
-      let tbl = Hashtbl.create 256 in
-      List.iter (fun (tid, _) -> Hashtbl.replace tbl tid ()) e.Wal_recovery.committed;
-      List.iter
-        (fun (tid, _) -> Hashtbl.replace tbl tid ())
-        e.Wal_recovery.resolved_commits;
-      Hashtbl.replace committed_on sid tbl;
-      Hashtbl.replace horizon sid
-        (match a.Wal_recovery.checkpoint with
+    (fun (sid, t) ->
+      let horizon =
+        match Wal_recovery.checkpoint ~anchor t with
         | Some (_, ck) -> ck.Checkpoint.oracle_next
-        | None -> 0))
-    anchored;
+        | None -> 0
+      in
+      Hashtbl.replace logs sid (Wal_recovery.commits ~anchor ~resolve t, horizon))
+    trackers;
+  let since = Hashtbl.fold (fun _ (_, h) m -> min h m) logs max_int in
+  (* Only an entry some participant log can still be asked about can be
+     a violation; filtering before sorting keeps the audit linear in the
+     ledger's recent entries. *)
+  let demandable (_, cts, parts) =
+    List.exists
+      (fun sid -> match Hashtbl.find_opt logs sid with Some (_, h) -> cts >= h | None -> true)
+      parts
+  in
   let acc = ref [] in
   List.iter
     (fun (tid, cts, parts) ->
       List.iter
         (fun sid ->
-          match Hashtbl.find_opt committed_on sid with
+          match Hashtbl.find_opt logs sid with
           | None ->
               acc :=
                 v "no-committed-loss"
                   "t%d was acknowledged on shard %d but no such shard log exists" tid sid
                 :: !acc
-          | Some tbl ->
-              let h = Option.value ~default:0 (Hashtbl.find_opt horizon sid) in
-              if cts >= h && not (Hashtbl.mem tbl tid) then
+          | Some (committed, h) ->
+              if cts >= h && not (committed tid) then
                 acc :=
                   v "no-committed-loss"
                     "t%d (cts=%d) was acknowledged to the client with participant shard %d, but the surviving logs do not commit it there"
                     tid cts sid
                   :: !acc)
         parts)
-    (List.sort compare acked);
+    (List.filter demandable (acked ~since) |> List.sort compare);
   List.rev !acc

@@ -128,22 +128,21 @@ val install_prune_audit :
 
 val remove_prune_audit : Driver.t -> unit
 
-val analyze_shard_logs :
-  (int * Wal.t) list -> (int * Wal_recovery.analysis) list
-(** Honest (CRC-on) analysis of every shard's log, sorted by shard id —
-    the shared, linear-cost input of the log-level oracles below. A
-    periodic sweep that runs more than one of them should analyze once
-    and pass the result through [?analyses]. *)
+val track_logs : (int * Wal.t) list -> (int * Wal_recovery.tracker) list
+(** One honest (CRC-on) {!Wal_recovery.tracker} per [(shard id, wal)],
+    sorted by shard id — the input of the log-level oracles below. Keep
+    the list for the life of the logs: every check advances each tracker
+    past its cursor only, so a periodic audit costs the frames appended
+    since the previous one (plus a re-fold of any log whose
+    {!Wal.generation} moved), and the verdicts are identical to a fresh
+    analysis of every log. *)
 
 val check_cross_shard_atomicity :
-  ?clog:Commit_log.t ->
-  ?analyses:(int * Wal_recovery.analysis) list ->
-  (int * Wal.t) list ->
-  violation list
-(** The sharded deployment's headline oracle, over the [(shard id, wal)]
-    logs of every shard. Analyzes each log honestly (CRC on), builds the
-    durable coordinator-decision table from every trustworthy prefix,
-    resolves each shard's in-doubt transactions through it exactly as a
+  ?clog:Commit_log.t -> (int * Wal_recovery.tracker) list -> violation list
+(** The sharded deployment's headline oracle, over the trackers of every
+    shard's log. Brings each up to date, builds the durable
+    coordinator-decision table from every trustworthy prefix, resolves
+    each shard's in-doubt transactions through it exactly as a
     recovering participant must, and reports:
 
     - {b cross-shard-atomicity} — a transaction committed on one shard
@@ -156,24 +155,31 @@ val check_cross_shard_atomicity :
       crash timing);
     - {b recovery-phantom} — with [?clog] (immediately after a group
       restart), a committed timestamp at or above every shard's durable
-      frontier. *)
+      frontier.
+
+    Every check is re-evaluated against the current decision table, so
+    a violation is reported again at every audit for as long as the
+    logs show it. *)
 
 val check_no_committed_loss :
-  ?analyses:(int * Wal_recovery.analysis) list ->
-  acked:(int * int * int list) list ->
-  (int * Wal.t) list ->
+  acked:(since:int -> (int * int * int list) list) ->
+  (int * Wal_recovery.tracker) list ->
   violation list
 (** The replicated deployment's headline oracle: every commit
     acknowledged to a client must survive every node-kill/failover
-    schedule. [acked] is the client-visible ledger — [(tid, cts,
+    schedule. [acked ~since] is the client-visible ledger — [(tid, cts,
     participant shards)] for each acknowledged commit, the union of
     {!Shard_group.acked} and any sabotage-fabricated
-    {!Replica.stale_acked} entries — and the [(shard id, wal)] list
-    holds each shard's authoritative (post-failover) device. Each log
-    is analyzed honestly with in-doubt entries resolved against the
-    durable decision table, exactly as {!check_cross_shard_atomicity}
-    does; a ["no-committed-loss"] violation is reported for every
-    acknowledged [(tid, shard)] the surviving logs fail to commit.
+    {!Replica.stale_acked} entries. It must return every entry with
+    [cts >= since] and may leave out older ones: [since] is the lowest
+    horizon (below) over all logs, so an older entry cannot be a loss
+    unless it names a shard with no log. The trackers follow each
+    shard's authoritative (post-failover) device. Each log is read
+    honestly with in-doubt entries resolved against the durable decision
+    table, exactly as {!check_cross_shard_atomicity} does, replaying
+    from {!Wal_recovery.Before_promotion}; a ["no-committed-loss"]
+    violation is reported for every acknowledged [(tid, shard)] the
+    surviving logs fail to commit.
 
     Fuzzy checkpoints keep only a bounded commit-log window, so the
     oracle demands an entry only while its commit timestamp sits at or

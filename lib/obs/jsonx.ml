@@ -71,18 +71,14 @@ let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
   let skip_ws () =
     while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected %C" c) in
   let literal word value =
     let l = String.length word in
     if !pos + l <= n && String.sub s !pos l = word then begin
@@ -91,8 +87,7 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
+  let parse_escaped () =
     let buf = Buffer.create 16 in
     let rec loop () =
       if !pos >= n then fail "unterminated string";
@@ -150,46 +145,69 @@ let of_string s =
     in
     loop ()
   in
+  let parse_string () =
+    expect '"';
+    (* Fast path: no escape before the closing quote. *)
+    let start = !pos in
+    let j = ref start in
+    while !j < n && (match String.unsafe_get s !j with '"' | '\\' -> false | _ -> true) do
+      incr j
+    done;
+    if !j < n && String.unsafe_get s !j = '"' then begin
+      pos := !j + 1;
+      String.sub s start (!j - start)
+    end
+    else parse_escaped ()
+  in
+  let digits () =
+    let saw = ref false in
+    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
+      saw := true;
+      advance ()
+    done;
+    if not !saw then fail "expected digit"
+  in
   let parse_number () =
     let start = !pos in
     let is_float = ref false in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let saw = ref false in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        saw := true;
-        advance ()
-      done;
-      if not !saw then fail "expected digit"
-    in
+    if at '-' then advance ();
+    let int_start = !pos in
     digits ();
-    if peek () = Some '.' then begin
+    if at '.' then begin
       is_float := true;
       advance ();
       digits ()
     end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !is_float then Float (float_of_string text)
+    if at 'e' || at 'E' then begin
+      is_float := true;
+      advance ();
+      if at '+' || at '-' then advance ();
+      digits ()
+    end;
+    if (not !is_float) && !pos - int_start <= 18 then begin
+      (* Fits in 63 bits: accumulate the digits directly. *)
+      let v = ref 0 in
+      for i = int_start to !pos - 1 do
+        v := (!v * 10) + (Char.code (String.unsafe_get s i) - 48)
+      done;
+      Int (if int_start > start then - !v else !v)
+    end
     else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> Float (float_of_string text)
+      let text = String.sub s start (!pos - start) in
+      if !is_float then Float (float_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some i -> Int i
+        | None -> Float (float_of_string text)
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if at '}' then begin
           advance ();
           Obj []
         end
@@ -201,21 +219,22 @@ let of_string s =
             expect ':';
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
+            if at ',' then begin
+              advance ();
+              members ((k, v) :: acc)
+            end
+            else if at '}' then begin
+              advance ();
+              List.rev ((k, v) :: acc)
+            end
+            else fail "expected ',' or '}'"
           in
           Obj (members [])
         end
-    | Some '[' ->
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if at ']' then begin
           advance ();
           Arr []
         end
@@ -223,22 +242,23 @@ let of_string s =
           let rec elems acc =
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
+            if at ',' then begin
+              advance ();
+              elems (v :: acc)
+            end
+            else if at ']' then begin
+              advance ();
+              List.rev (v :: acc)
+            end
+            else fail "expected ',' or ']'"
           in
           Arr (elems [])
         end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   try
     let v = parse_value () in

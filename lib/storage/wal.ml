@@ -15,14 +15,25 @@ type t = {
   mutable errors : int;
   mutable shard : int;
   mutable durable : durable option;
+  mutable generation : int;
 }
 
 let create ?(shard = 0) () =
   if shard < 0 then invalid_arg "Wal.create: negative shard";
-  { total = 0; records = 0; errors = 0; shard; durable = None }
+  { total = 0; records = 0; errors = 0; shard; durable = None; generation = 0 }
+
+let generation t = t.generation
+
+(* Every mutator that can change or remove a frame already on the device
+   (or how its frames are judged) starts a new generation; appends at
+   [next_lsn] do not. *)
+let new_generation t = t.generation <- t.generation + 1
 
 let shard t = t.shard
-let set_shard t shard = t.shard <- shard
+
+let set_shard t shard =
+  t.shard <- shard;
+  new_generation t
 
 let append t ?at ~bytes () =
   if bytes < 0 then invalid_arg "Wal.append: negative size";
@@ -140,6 +151,8 @@ let fsyncs t = match t.durable with None -> 0 | Some d -> d.fsyncs
 let fsync_failures t = match t.durable with None -> 0 | Some d -> d.fsync_failures
 let crashes t = match t.durable with None -> 0 | Some d -> d.crashes
 
+let frame_count t = match t.durable with None -> 0 | Some d -> Vec.length d.frames
+
 let frames t =
   match t.durable with
   | None -> []
@@ -156,12 +169,14 @@ let crash t ~keep_lsn =
       Vec.filter_in_place (fun f -> f.lsn <= keep) d.frames;
       d.flushed_lsn <- min d.flushed_lsn keep;
       d.crashes <- d.crashes + 1;
+      new_generation t;
       Metrics.bump "wal.crashes")
 
 let truncate_to t ~lsn =
   with_durable t "truncate_to" (fun d ->
       Vec.filter_in_place (fun f -> f.lsn <= lsn) d.frames;
-      d.flushed_lsn <- min d.flushed_lsn lsn)
+      d.flushed_lsn <- min d.flushed_lsn lsn;
+      new_generation t)
 
 let inject_raw t repr =
   (* A partially-written sector: it claimed its LSN on the device but
@@ -224,7 +239,8 @@ let adopt t ~src =
           d.flushed_lsn <- sd.flushed_lsn;
           t.total <- src.total;
           t.records <- src.records;
-          t.shard <- src.shard)
+          t.shard <- src.shard;
+          new_generation t)
 
 let corrupt_frame t ~lsn f =
   with_durable t "corrupt_frame" (fun d ->
@@ -236,4 +252,5 @@ let corrupt_frame t ~lsn f =
             corrupted := true
           end)
         d.frames;
+      if !corrupted then new_generation t;
       !corrupted)

@@ -33,7 +33,20 @@ val create : ?shard:int -> unit -> t
     for a different shard. *)
 
 val shard : t -> int
+
 val set_shard : t -> int -> unit
+(** Retags the log; starts a new {!generation}, since frames written
+    under the old tag no longer belong to it. *)
+
+val generation : t -> int
+(** Bumped by every mutator that can change or drop a frame already on
+    the device, or change how its frames are judged: {!crash},
+    {!truncate_to}, {!adopt}, {!corrupt_frame} (when a frame changed)
+    and {!set_shard}. Appends ({!log}, {!receive}, {!inject_raw}) leave
+    it alone. An incremental reader ({!Wal_recovery.tracker}) that saw
+    generation [g] can trust every frame it read so far while the
+    generation is still [g], and only needs {!frames_from} its
+    cursor. *)
 
 val append : t -> ?at:int -> bytes:int -> unit -> unit
 (** Append a record, unless the ["wal.append"] fail-point fires. [at]
@@ -84,6 +97,9 @@ val crashes : t -> int
 
 val frames : t -> (int * string) list
 (** Surviving frames in LSN order, for recovery scans. *)
+
+val frame_count : t -> int
+(** Number of surviving frames (0 if non-durable). *)
 
 val bootstrap_lsn : int
 (** LSN of the engine-creation checkpoint's [Ckpt_end] frame; {!crash}

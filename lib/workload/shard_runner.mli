@@ -123,6 +123,20 @@ val digest_diff : ?tol:float -> digest -> digest -> string list
     neither, net blocks present in both or neither, and net send
     volume within gross (5x + 4096) agreement. *)
 
+type audit_cost = {
+  frames_decoded : int;
+      (** WAL frames the log oracles' per-shard trackers decoded over
+          the run, re-reads included. *)
+  frames_rewound : int;
+      (** Of those, frames read before a log's {!Wal.generation} moved
+          and its tracker started over. [frames_decoded] is at most
+          [frames_rewound + final_frames]. *)
+  final_frames : int;  (** Frames in the final logs, summed over shards. *)
+  batch_frames : int;
+      (** What analysing every log from LSN 1 at each audit would have
+          decoded: the summed log lengths at every audit. *)
+}
+
 type result = {
   commits : int;
   conflicts : int;
@@ -142,6 +156,7 @@ type result = {
   indoubt_mean_us : float;
   failover_lags_us : int list;
       (** completed failovers (kill → promotion), oldest first, µs *)
+  audit : audit_cost;  (** cost of the log-level audits (sweeps, post-restart, final) *)
   digest : digest;
 }
 

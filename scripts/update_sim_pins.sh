@@ -43,6 +43,7 @@ done <<'EOF'
 --seed 42 --campaigns 1 -d 1 --shards 2 --replicas 2 --kill-nodes
 --seed 42 --campaigns 1 -d 1 --shards 2 --replicas 2 --kill-nodes --failover-sabotage ack-before-replicate
 --seed 42 --campaigns 1 -d 1 --shards 2 --replicas 2 --kill-nodes --failover-sabotage stale-primary-writes
+--seed 42 --campaigns 1 -d 5 --shards 2 --replicas 2 --kill-nodes
 EOF
 
 mkdir -p test/golden

@@ -325,7 +325,7 @@ let test_cooperative_termination_resolves () =
     "atomicity clean: both sides aborted" []
     (List.map
        (fun { Invariant.invariant; detail } -> (invariant, detail))
-       (Invariant.check_cross_shard_atomicity (Shard_group.wals g)))
+       (Invariant.check_cross_shard_atomicity (Invariant.track_logs (Shard_group.wals g))))
 
 let test_indoubt_liveness_skips_active_partition () =
   (* A partition that never heals within the run legitimately pins the
@@ -366,7 +366,7 @@ let test_sabotage_apply_on_timeout_caught () =
   check_int "in doubt before the timeout" 1 (Shard_group.indoubt_count g ~sid:1);
   Shard_group.tick g ~now:(Clock.ms 15);
   check_int "unilateral apply resolved the doubt" 0 (Shard_group.indoubt_count g ~sid:1);
-  let vs = Invariant.check_cross_shard_atomicity (Shard_group.wals g) in
+  let vs = Invariant.check_cross_shard_atomicity (Invariant.track_logs (Shard_group.wals g)) in
   check_bool "fabricated commit caught" true (vs <> []);
   check_bool "caught by the 2PC decision/atomicity oracle" true
     (List.for_all
@@ -387,7 +387,7 @@ let test_sabotage_ack_forge_caught () =
   (match Shard_group.commit_checked g txn ~now:t with
   | Shard_group.Committed _ -> ()
   | Shard_group.Net_abort _ -> Alcotest.fail "passthrough cannot be unreachable");
-  let vs = Invariant.check_cross_shard_atomicity (Shard_group.wals g) in
+  let vs = Invariant.check_cross_shard_atomicity (Invariant.track_logs (Shard_group.wals g)) in
   check_bool "forged ack caught" true
     (List.exists
        (fun { Invariant.invariant; _ } -> invariant = "cross-shard-atomicity")

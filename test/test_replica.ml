@@ -171,25 +171,25 @@ let test_loss_oracle_unit () =
   for i = 1 to 12 do
     now := commit_on g ~sid:(i mod 2) ~payload:i ~now:!now
   done;
-  let wals = Shard_group.wals g in
+  let wals = Invariant.track_logs (Shard_group.wals g) in
   let acked = Shard_group.acked g in
   check_bool "ledger populated" true (List.length acked >= 12);
   Alcotest.(check (list string))
     "honest ledger clean" []
     (List.map
        (fun { Invariant.invariant; detail } -> invariant ^ ": " ^ detail)
-       (Invariant.check_no_committed_loss ~acked wals));
+       (Invariant.check_no_committed_loss ~acked:(fun ~since:_ -> acked) wals));
   (* A fabricated ack no log witnesses — the stale-primary shape — must
      be flagged; its cts sits far above any checkpoint horizon. *)
   let forged = (999_999_999, 999_999_999, [ 0 ]) in
-  (match Invariant.check_no_committed_loss ~acked:(forged :: acked) wals with
+  (match Invariant.check_no_committed_loss ~acked:(fun ~since:_ -> forged :: acked) wals with
   | [ { Invariant.invariant = "no-committed-loss"; _ } ] -> ()
   | vs -> Alcotest.failf "expected exactly the forged loss, got %d" (List.length vs));
   (* An acked commit whose cts predates the log's checkpoint horizon has
      legitimately aged out of the bounded window: not a violation. *)
   let aged = (888_888_888, 0, [ 0 ]) in
   check_int "pre-horizon ack ages out" 0
-    (List.length (Invariant.check_no_committed_loss ~acked:(aged :: acked) wals))
+    (List.length (Invariant.check_no_committed_loss ~acked:(fun ~since:_ -> aged :: acked) wals))
 
 (* -------------------------------------------------------------------- *)
 (* Satellite: double-restart idempotence (qcheck) *)

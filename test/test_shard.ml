@@ -158,7 +158,7 @@ let test_2pc_happy_path_records () =
   check_bool "decision before local apply" true
     (index "2pc-commit" 0 coord_kinds < index "txn-commit" 0 coord_kinds);
   no_violations "honest 2PC run"
-    (Invariant.check_cross_shard_atomicity (Shard_group.wals g));
+    (Invariant.check_cross_shard_atomicity (Invariant.track_logs (Shard_group.wals g)));
   ignore txn
 
 let test_single_shard_commit_skips_2pc () =
@@ -193,7 +193,7 @@ let test_cross_abort_presumed () =
   check_bool "informational coord abort" true (List.mem "2pc-abort" coord_kinds);
   check_bool "no decision record" true (not (List.mem "2pc-commit" coord_kinds));
   no_violations "aborted cross txn is consistent"
-    (Invariant.check_cross_shard_atomicity (Shard_group.wals g))
+    (Invariant.check_cross_shard_atomicity (Invariant.track_logs (Shard_group.wals g)))
 
 (* -------------------------------------------------------------------- *)
 (* Crash at every 2PC step. With two participants the sequence has 8
@@ -232,7 +232,7 @@ let test_crash_at_step s () =
     (Printf.sprintf "cross-shard atomicity, crash step %d" s)
     (Invariant.check_cross_shard_atomicity
        ~clog:(Txn_manager.commit_log (Shard_group.mgr g))
-       (Shard_group.wals g));
+       (Invariant.track_logs (Shard_group.wals g)));
   (* The outcome is determined by decision durability alone. *)
   let coord_wal = (Shard_group.shards g).(0).Shard.wal in
   let exp = Wal_recovery.expect (Wal_recovery.analyze coord_wal) in
@@ -292,7 +292,7 @@ let test_checkpoint_preserves_indoubt () =
   no_violations "ckpt-indoubt atomicity"
     (Invariant.check_cross_shard_atomicity
        ~clog:(Txn_manager.commit_log (Shard_group.mgr g))
-       (Shard_group.wals g))
+       (Invariant.track_logs (Shard_group.wals g)))
 
 (* Crash with the decision durable and a checkpoint taken after it:
    the decision must survive checkpointing (in the decisions window)
@@ -313,7 +313,7 @@ let test_checkpoint_preserves_decision () =
   no_violations "ckpt-decision atomicity"
     (Invariant.check_cross_shard_atomicity
        ~clog:(Txn_manager.commit_log (Shard_group.mgr g))
-       (Shard_group.wals g));
+       (Invariant.track_logs (Shard_group.wals g)));
   let exp =
     Wal_recovery.expect (Wal_recovery.analyze (Shard_group.shards g).(0).Shard.wal)
   in
@@ -348,7 +348,7 @@ let test_sabotage_caught_statically () =
   let g = mk_group () in
   Shard_group.set_skip_coord_decision g true;
   ignore (cross_commit g ~now:(Clock.ms 1));
-  let vs = Invariant.check_cross_shard_atomicity (Shard_group.wals g) in
+  let vs = Invariant.check_cross_shard_atomicity (Invariant.track_logs (Shard_group.wals g)) in
   check_bool "decision-missing violations" true
     (List.exists (fun v -> v.Invariant.invariant = "2pc-decision-missing") vs)
 
@@ -365,7 +365,7 @@ let test_sabotage_caught_after_crash () =
   let vs =
     Invariant.check_cross_shard_atomicity
       ~clog:(Txn_manager.commit_log (Shard_group.mgr g))
-      (Shard_group.wals g)
+      (Invariant.track_logs (Shard_group.wals g))
   in
   check_bool "atomicity violation caught" true
     (List.exists
